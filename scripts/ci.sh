@@ -145,6 +145,9 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-sanitize/svc_kv --smoke-100
 
 echo "=== regenerate tracked bench JSONs ==="
+# BENCH_kv.json holds simulated numbers only, so it must regenerate
+# byte-identical: keep the tracked copy for the bit-identity gate.
+cp BENCH_kv.json build/BENCH_kv.json.tracked
 if [[ -x build/ablation_kernel && -x build/svc_kv ]]; then
     ./build/ablation_kernel
     ./build/svc_kv
@@ -446,5 +449,14 @@ for fig in fig12_latency:BENCH_fig12.json fig13_bandwidth:BENCH_fig13.json; do
     }
 done
 echo "figure gate ok: fig12/fig13 JSONs bit-identical"
+
+echo "=== KV JSON bit-identity ==="
+# Every BENCH_kv.json field is simulated, so a change that only
+# moves host cost must leave it byte-identical to the tracked file.
+cmp BENCH_kv.json build/BENCH_kv.json.tracked || {
+    echo "kv gate: BENCH_kv.json differs from the tracked file" >&2
+    exit 1
+}
+echo "kv gate ok: BENCH_kv.json bit-identical"
 
 echo "=== CI OK ==="

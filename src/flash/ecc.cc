@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 
+#include "sim/logging.hh"
+
 namespace bluedbm {
 namespace flash {
 
@@ -166,9 +168,12 @@ EccResult
 Secded72::decode(std::vector<std::uint8_t> &data,
                  const std::vector<std::uint8_t> &check)
 {
+    std::size_t words = checkBytes(data.size());
+    if (check.size() != words)
+        sim::panic("SECDED decode of %zu bytes needs %zu check bytes, "
+                   "got %zu", data.size(), words, check.size());
     EccResult res;
-    std::size_t words = (data.size() + 7) / 8;
-    for (std::size_t i = 0; i < words && i < check.size(); ++i) {
+    for (std::size_t i = 0; i < words; ++i) {
         std::size_t off = i * 8;
         std::size_t avail = data.size() - off;
         std::uint64_t w = loadWord(data.data() + off, avail);

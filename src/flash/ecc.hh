@@ -34,9 +34,12 @@ struct EccResult
  * Extended Hamming(72,64) codec.
  *
  * Each 64-bit data word is protected by 7 Hamming parity bits plus one
- * overall parity bit. Encoding produces one 8-bit syndrome byte per
- * word; pages carry their check bytes out of band (the page store keeps
- * them alongside the data, as a real card keeps spare-area bytes).
+ * overall parity bit. Encoding produces one 8-bit check byte per word.
+ * A real card keeps them in the page's spare area; the simulator stores
+ * only the data and encodes the check bytes of a sensed range when that
+ * range will be decoded (they depend only on the programmed bytes, and
+ * encoding is word-local, so a word-aligned range's check bytes equal
+ * the matching slice of the whole page's).
  */
 class Secded72
 {
@@ -61,7 +64,9 @@ class Secded72
      * Verify and correct @p data in place against @p check.
      *
      * Single-bit errors per word (in data or check bits) are corrected;
-     * double-bit errors are flagged uncorrectable.
+     * double-bit errors are flagged uncorrectable. Panics unless
+     * @p check holds exactly checkBytes(data.size()) bytes: a short
+     * vector would leave words unverified and report them clean.
      */
     static EccResult
     decode(std::vector<std::uint8_t> &data,

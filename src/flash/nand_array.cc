@@ -77,8 +77,8 @@ NandArray::injectErrors(PageBuffer &data,
     // page's bit count (every bit flipped), never below it: a high
     // BER must inject its full Poisson tail or SECDED stress tests
     // silently under-inject.
-    double total_bits =
-        static_cast<double>(data.size() + check.size()) * 8.0;
+    double total_bits = static_cast<double>(
+        data.size() + Secded72::checkBytes(data.size())) * 8.0;
     double expect = total_bits * rate;
     if (expect > 500.0) {
         // exp(-expect) underflows and the inverse transform would
@@ -99,6 +99,11 @@ NandArray::injectErrors(PageBuffer &data,
         p *= expect / static_cast<double>(flips);
         cum += p;
     }
+    if (flips == 0)
+        return 0;
+    // The sensed words' check bytes, as programmed: a function of
+    // the clean bytes, so they are encoded before the first flip.
+    check = Secded72::encode(data);
     for (std::uint32_t i = 0; i < flips; ++i) {
         std::uint64_t bit =
             errorRng_.below(static_cast<std::uint64_t>(total_bits));
@@ -307,38 +312,32 @@ NandArray::read(const Address &addr, ReadDone done, Priority pri,
     // issue time. (Within one chip nothing can alter the cells
     // during the sense itself, so latching at sense end equals
     // latching at sense start.)
-    // The result and check bytes move through the stage captures --
-    // sense -> bus transfer -> controller overhead each run exactly
-    // once in sequence, so ownership hands off without shared state.
-    auto deliver = [this, a, bus, wire_bytes, offset, len, word0,
-                    slice0, slice_bytes,
-                    done = std::move(done)]() mutable {
+    // The sensed slice moves through the stage captures -- sense ->
+    // bus transfer -> controller overhead each run exactly once in
+    // sequence, so ownership hands off without shared state.
+    auto deliver = [this, a, bus, wire_bytes, offset, len, slice0,
+                    slice_bytes, done = std::move(done)]() mutable {
         ReadResult res;
-        std::vector<std::uint8_t> check;
-        res.data = store_.read(a, &check);
+        res.data = store_.read(a, slice0, slice_bytes);
         // Wear is sampled at the sense, like the cell contents: the
         // raw BER of this read reflects the block's erase count NOW.
         double ber = effectiveBitErrorRate(a);
-        if (slice_bytes != res.data.size()) {
-            res.data.erase(res.data.begin(),
-                           res.data.begin() + slice0);
-            res.data.resize(slice_bytes);
-            check.erase(check.begin(), check.begin() + word0);
-            check.resize(Secded72::checkBytes(slice_bytes));
-        }
         busTransfer(bus, wire_bytes,
-                    [this, res = std::move(res),
-                     check = std::move(check), offset, len, slice0,
-                     ber,
-                     done = std::move(done)]() mutable {
+                    [this, res = std::move(res), offset, len, slice0,
+                     ber, done = std::move(done)]() mutable {
             sim_.scheduleAfter(timing_.controllerOverhead,
-                               [this, res = std::move(res),
-                                check = std::move(check), offset,
+                               [this, res = std::move(res), offset,
                                 len, slice0, ber,
                                 done = std::move(done)]() mutable {
+                // Check bytes exist only for a sense that will be
+                // decoded: injectErrors encodes them when it flips a
+                // bit, alwaysDecode_ when nothing flipped.
+                std::vector<std::uint8_t> check;
                 std::uint32_t injected =
                     injectErrors(res.data, check, ber);
                 if (injected > 0 || alwaysDecode_) {
+                    if (injected == 0)
+                        check = Secded72::encode(res.data);
                     EccResult ecc =
                         Secded72::decode(res.data, check);
                     bitsCorrected_.inc(ecc.correctedBits);

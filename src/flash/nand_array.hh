@@ -29,6 +29,7 @@
 #include <deque>
 #include <vector>
 
+#include "flash/ecc.hh"
 #include "flash/geometry.hh"
 #include "flash/page_store.hh"
 #include "flash/timing.hh"
@@ -321,8 +322,12 @@ class NandArray
     [[nodiscard]] bool worthSuspending(const ChipCtl &chip, std::uint32_t bus,
                          sim::Tick now) const;
 
-    /** Corrupt @p data / @p check in place at raw BER @p rate (the
-     * flat rate plus any wear term, resolved at sense time). */
+    /** Corrupt @p data at raw BER @p rate (the flat rate plus any
+     * wear term, resolved at sense time), drawing flips over data and
+     * check bits alike. Only when a flip is drawn are the check bytes
+     * encoded into @p check, before any bit moves; a clean sense
+     * leaves @p check empty.
+     * @return the number of bits flipped */
     std::uint32_t injectErrors(PageBuffer &data,
                                std::vector<std::uint8_t> &check,
                                double rate);

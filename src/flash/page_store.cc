@@ -28,10 +28,15 @@ PageStore::pageKey(const Address &addr) const
 }
 
 PageBuffer
-PageStore::synthesize(std::uint64_t page_key) const
+PageStore::synthesize(std::uint64_t page_key, std::uint32_t offset,
+                      std::uint32_t len) const
 {
+    // Word k of the page is the generator's k-th output: skip the
+    // words before the range instead of materializing them.
     sim::Rng rng(seed_ ^ (page_key * 0x2545f4914f6cdd1dull));
-    PageBuffer data(geo_.pageSize);
+    for (std::uint32_t w = 0; w < offset / 8; ++w)
+        rng.next();
+    PageBuffer data(len);
     std::size_t i = 0;
     while (i + 8 <= data.size()) {
         std::uint64_t w = rng.next();
@@ -68,31 +73,34 @@ PageStore::program(const Address &addr, PageBuffer data)
     blk.programmed[addr.page] = true;
     blk.nextPage = addr.page + 1;
 
-    StoredPage sp;
-    sp.check = Secded72::encode(data);
-    sp.data = std::move(data);
-    pages_[pageKey(addr)] = std::move(sp);
+    pages_[pageKey(addr)] = std::move(data);
     ++programs_;
     return Status::Ok;
 }
 
 PageBuffer
-PageStore::read(const Address &addr,
-                std::vector<std::uint8_t> *check) const
+PageStore::read(const Address &addr, std::uint32_t offset,
+                std::uint32_t len) const
 {
     if (!addr.validFor(geo_))
         sim::panic("read at invalid address %s",
                    addr.toString().c_str());
-    auto it = pages_.find(pageKey(addr));
-    if (it == pages_.end()) {
-        PageBuffer data = synthesize(pageKey(addr));
-        if (check)
-            *check = Secded72::encode(data);
-        return data;
+    if (len == 0) {
+        if (offset != 0)
+            sim::panic("whole-page read with offset %u", offset);
+        len = geo_.pageSize;
     }
-    if (check)
-        *check = it->second.check;
-    return it->second.data;
+    if (offset % 8 != 0 ||
+        std::uint64_t(offset) + len > geo_.pageSize)
+        sim::panic("read range [%u, %u) is not word-aligned within "
+                   "page size %u", offset, offset + len,
+                   geo_.pageSize);
+    std::uint64_t key = pageKey(addr);
+    auto it = pages_.find(key);
+    if (it == pages_.end())
+        return synthesize(key, offset, len);
+    auto first = it->second.begin() + offset;
+    return PageBuffer(first, first + len);
 }
 
 Status

@@ -7,9 +7,13 @@
  * content derived from the address, so multi-terabyte workloads can be
  * simulated without allocating the dataset (the content is stable, as
  * if it had been written by a prior loading phase). Pages that are
- * programmed store their real bytes plus ECC check bytes, and the NAND
- * rules are enforced: a page must be erased before it is programmed
- * again, and erases wear blocks out.
+ * programmed store their real bytes, and the NAND rules are enforced:
+ * a page must be erased before it is programmed again, and erases wear
+ * blocks out.
+ *
+ * No ECC check bytes are stored: they are a pure function of a page's
+ * bytes, which nothing changes before an erase, so the NAND model
+ * computes them at sense time when it needs them.
  */
 
 #ifndef BLUEDBM_FLASH_PAGE_STORE_HH
@@ -20,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "flash/ecc.hh"
 #include "flash/geometry.hh"
 #include "flash/types.hh"
 
@@ -53,14 +56,16 @@ class PageStore
 
     /**
      * Read a page's stored bytes (or synthetic content when never
-     * programmed).
+     * programmed), whole or one range of it.
      *
-     * @param addr  source page
-     * @param check out: ECC check bytes stored with the page
-     * @return page contents
+     * @param addr   source page
+     * @param offset first byte; a multiple of 8 (one ECC word)
+     * @param len    bytes to return; 0 reads the whole page (offset
+     *               must then be 0)
+     * @return bytes [offset, offset + len) of the page
      */
-    PageBuffer read(const Address &addr,
-                    std::vector<std::uint8_t> *check = nullptr) const;
+    PageBuffer read(const Address &addr, std::uint32_t offset = 0,
+                    std::uint32_t len = 0) const;
 
     /**
      * Erase a block: all pages return to the erased state.
@@ -138,23 +143,19 @@ class PageStore
         std::vector<bool> programmed;
     };
 
-    struct StoredPage
-    {
-        PageBuffer data;
-        std::vector<std::uint8_t> check;
-    };
-
     std::uint64_t blockKey(const Address &addr) const;
     std::uint64_t pageKey(const Address &addr) const;
 
-    /** Deterministic content for never-programmed pages. */
-    PageBuffer synthesize(std::uint64_t page_key) const;
+    /** Bytes [offset, offset + len) of the deterministic content of
+     * a never-programmed page; @p offset is word-aligned. */
+    PageBuffer synthesize(std::uint64_t page_key, std::uint32_t offset,
+                          std::uint32_t len) const;
 
     Geometry geo_;
     std::uint64_t seed_;
     std::uint32_t eraseLimit_ = 0;
     bool requireSequential_ = false;
-    std::unordered_map<std::uint64_t, StoredPage> pages_;
+    std::unordered_map<std::uint64_t, PageBuffer> pages_;
     std::unordered_map<std::uint64_t, BlockState> blocks_;
     std::unordered_set<std::uint64_t> badBlocks_;
     std::uint64_t programs_ = 0;

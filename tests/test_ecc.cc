@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -167,4 +168,45 @@ TEST(Ecc, CheckBytesHelper)
     EXPECT_EQ(Secded72::checkBytes(1), 1u);
     EXPECT_EQ(Secded72::checkBytes(0), 0u);
     EXPECT_EQ(Secded72::checkBytes(9), 2u);
+}
+
+TEST(Ecc, AlignedSliceEncodeMatchesWholePage)
+{
+    // Check bytes are word-local: encoding a word-aligned slice (whole
+    // words, or running to the page end) gives the matching sub-range
+    // of the whole page's check bytes, which is what lets the NAND
+    // model encode only the sensed range. A 13-byte page tail
+    // exercises the short last word.
+    sim::Rng rng(12);
+    std::vector<std::uint8_t> page(8 * 40 + 13);
+    for (auto &b : page)
+        b = static_cast<std::uint8_t>(rng.next());
+    auto whole = Secded72::encode(page);
+    for (std::size_t w0 = 0; w0 < whole.size(); w0 += 3) {
+        for (std::size_t bytes : {8ul, 16ul, 64ul, 336ul}) {
+            std::size_t first = w0 * 8;
+            std::size_t last = std::min(page.size(), first + bytes);
+            std::vector<std::uint8_t> slice(page.begin() + first,
+                                            page.begin() + last);
+            auto check = Secded72::encode(slice);
+            ASSERT_EQ(check.size(), Secded72::checkBytes(slice.size()));
+            EXPECT_TRUE(std::equal(check.begin(), check.end(),
+                                   whole.begin() + w0))
+                << "word " << w0 << " bytes " << bytes;
+        }
+    }
+}
+
+TEST(EccDeath, DecodeRejectsCheckOfWrongLength)
+{
+    // A short check vector used to verify only the words it covered
+    // and report the rest clean.
+    std::vector<std::uint8_t> page(64, 0x3c);
+    auto check = Secded72::encode(page);
+    std::vector<std::uint8_t> none;
+    EXPECT_DEATH(Secded72::decode(page, none), "needs 8 check bytes");
+    check.pop_back();
+    EXPECT_DEATH(Secded72::decode(page, check), "got 7");
+    check.resize(9);
+    EXPECT_DEATH(Secded72::decode(page, check), "got 9");
 }

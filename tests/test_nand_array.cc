@@ -274,15 +274,45 @@ TEST(NandArray, CorrectedDataMatchesOriginal)
 
 TEST(NandArray, AlwaysDecodeVerifiesCleanPages)
 {
+    // With decoding forced on clean senses, the check bytes computed
+    // for any sensed slice must verify its bytes: full and unaligned
+    // partial reads of a synthetic and a programmed page all decode
+    // Ok with nothing corrected.
     Fixture f;
-    NandArray nand(f.sim, f.geo, f.timing);
-    nand.setAlwaysDecode(true);
-    Status st = Status::Uncorrectable;
-    nand.read(Address{0, 0, 0, 0},
-              [&](ReadResult res) { st = res.status; });
+    NandArray nand(f.sim, f.geo, f.timing, 5);
+    const Address programmed{1, 1, 0, 0};
+    PageBuffer data(f.geo.pageSize);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    nand.write(programmed, data, [](Status) {});
     f.sim.run();
-    EXPECT_EQ(st, Status::Ok);
+
+    nand.setAlwaysDecode(true);
+    struct Range
+    {
+        std::uint32_t offset, len;
+    };
+    const Range ranges[] = {{0, 0}, {13, 100}, {509, 3}, {0, 1}};
+    int reads = 0;
+    for (Address a : {Address{0, 1, 0, 2}, programmed}) {
+        PageBuffer whole = nand.store().read(a);
+        for (Range r : ranges) {
+            std::uint32_t len = r.len ? r.len : f.geo.pageSize;
+            nand.read(a, [&, r, len](ReadResult res) {
+                EXPECT_EQ(res.status, Status::Ok);
+                EXPECT_EQ(res.correctedBits, 0u);
+                EXPECT_EQ(res.data,
+                          PageBuffer(whole.begin() + r.offset,
+                                     whole.begin() + r.offset + len));
+                ++reads;
+            },
+                      flash::Priority::Read, r.offset, r.len);
+        }
+        f.sim.run();
+    }
+    EXPECT_EQ(reads, 8);
     EXPECT_EQ(nand.bitsCorrected(), 0u);
+    EXPECT_EQ(nand.uncorrectablePages(), 0u);
 }
 
 // ---------------------------------------------------------------- //
@@ -705,4 +735,71 @@ TEST(NandArray, PartialReadOutSurvivesErrorInjection)
         f.sim.run();
     }
     EXPECT_GT(checked, 80);
+}
+
+TEST(NandArray, SeededErrorPathIsPinned)
+{
+    // Golden for the whole ECC path: flat BER plus the wear model,
+    // over programmed and never-programmed pages in a fresh and two
+    // aged blocks, with full reads and unaligned partial reads. The
+    // counters and a digest of every status and byte returned are
+    // exact for this seed, so any change to when check bytes are
+    // computed, which bits the injector draws or how the slice is
+    // trimmed shows up here.
+    Fixture f;
+    NandArray nand(f.sim, f.geo, f.timing, 2024);
+    const Address fresh{0, 0, 0, 0};
+    const Address aged{0, 1, 1, 0};
+    const Address worn{1, 0, 2, 0};
+    for (Address blk : {fresh, aged, worn}) {
+        for (std::uint32_t p = 0; p < 4; ++p) {
+            Address a = blk;
+            a.page = p;
+            PageBuffer data(f.geo.pageSize);
+            for (std::size_t i = 0; i < data.size(); ++i)
+                data[i] = static_cast<std::uint8_t>(i * 11 + p + 1);
+            nand.write(a, std::move(data), [](Status st) {
+                EXPECT_EQ(st, Status::Ok);
+            });
+        }
+    }
+    f.sim.run();
+    nand.store().addWear(aged, 2600);
+    nand.store().addWear(worn, 6000);
+    nand.setBitErrorRate(1e-5);
+    nand.setWearModel(2e-5, 1000, 2.5);
+
+    struct Range
+    {
+        std::uint32_t offset, len;
+    };
+    const Range ranges[] = {{0, 0}, {13, 100}, {0, 0}, {509, 3},
+                            {64, 64}, {1, 511}};
+    std::uint64_t digest = 1469598103934665603ull;
+    auto fold = [&](std::uint64_t v) {
+        digest = (digest ^ v) * 1099511628211ull;
+    };
+    int reads = 0;
+    for (int i = 0; i < 240; ++i) {
+        Address a = (i % 3 == 0) ? fresh : (i % 3 == 1) ? aged : worn;
+        // Pages 0-3 are programmed, 4-15 never were.
+        a.page = std::uint32_t(i * 5) % f.geo.pagesPerBlock;
+        Range r = ranges[i % 6];
+        nand.read(a, [&, i](ReadResult res) {
+            fold(std::uint64_t(i));
+            fold(static_cast<std::uint64_t>(res.status));
+            fold(res.correctedBits);
+            fold(res.data.size());
+            for (std::uint8_t b : res.data)
+                fold(b);
+            ++reads;
+        },
+                  flash::Priority::Read, r.offset, r.len);
+    }
+    f.sim.run();
+    ASSERT_EQ(reads, 240);
+    EXPECT_EQ(nand.bitsInjected(), 659u);
+    EXPECT_EQ(nand.bitsCorrected(), 589u);
+    EXPECT_EQ(nand.uncorrectablePages(), 31u);
+    EXPECT_EQ(digest, 5177006492291336765ull);
 }

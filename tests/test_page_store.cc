@@ -89,15 +89,40 @@ TEST(PageStore, SyntheticContentIsDeterministic)
     EXPECT_NE(s1.read(a), s1.read(b)); // different address
 }
 
-TEST(PageStore, SyntheticPagesCarryValidEcc)
+TEST(PageStore, RangeReadIsSliceOfWholePage)
+{
+    // A word-aligned range returns exactly the bytes a whole-page
+    // read holds there, for synthetic and programmed pages alike,
+    // including a range that ends at the page's last byte.
+    Geometry g = Geometry::tiny();
+    PageStore store(g, 9);
+    Address programmed{1, 0, 3, 0};
+    ASSERT_EQ(store.program(programmed, pattern(g, 41)), Status::Ok);
+    for (Address a : {Address{0, 1, 0, 2}, programmed}) {
+        PageBuffer whole = store.read(a);
+        ASSERT_EQ(whole.size(), g.pageSize);
+        struct
+        {
+            std::uint32_t offset, len;
+        } ranges[] = {{0, 8}, {8, 104}, {64, 3}, {504, 8},
+                      {256, 256}, {0, 512}};
+        for (auto r : ranges) {
+            PageBuffer got = store.read(a, r.offset, r.len);
+            EXPECT_EQ(got, PageBuffer(whole.begin() + r.offset,
+                                      whole.begin() + r.offset + r.len))
+                << "offset " << r.offset << " len " << r.len;
+        }
+    }
+}
+
+TEST(PageStoreDeath, RangeReadMustBeWordAligned)
 {
     Geometry g = Geometry::tiny();
     PageStore store(g);
-    Address a{0, 1, 0, 2};
-    std::vector<std::uint8_t> check;
-    PageBuffer data = store.read(a, &check);
-    auto expected = flash::Secded72::encode(data);
-    EXPECT_EQ(check, expected);
+    Address a{0, 0, 0, 0};
+    EXPECT_DEATH((void)store.read(a, 13, 8), "word-aligned");
+    EXPECT_DEATH((void)store.read(a, 8, g.pageSize), "word-aligned");
+    EXPECT_DEATH((void)store.read(a, 8, 0), "whole-page read");
 }
 
 TEST(PageStore, EraseCountsAccumulate)

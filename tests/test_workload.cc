@@ -393,3 +393,22 @@ TEST(Workload, PhasedRunRedistributesAroundPausedNode)
     EXPECT_TRUE(p3);
     EXPECT_EQ(engine.completedOps(), 300u);
 }
+
+TEST(WorkloadEngine, MakeValueBytesArePinned)
+{
+    // Value bytes are part of every golden that stores or checks KV
+    // data: pin them across keys and lengths, including lengths that
+    // are not multiples of 8.
+    std::uint64_t digest = 1469598103934665603ull;
+    for (kv::Key key : {kv::Key(0), kv::Key(1), kv::Key(977),
+                        kv::Key(0xfeedfacecafebeefull)}) {
+        for (std::uint32_t bytes : {0u, 1u, 7u, 8u, 9u, 255u, 256u,
+                                    257u, 263u, 2048u, 4099u, 5000u}) {
+            flash::PageBuffer v = WorkloadEngine::makeValue(key, bytes);
+            ASSERT_EQ(v.size(), bytes);
+            for (std::uint8_t b : v)
+                digest = (digest ^ b) * 1099511628211ull;
+        }
+    }
+    EXPECT_EQ(digest, 1972412707961185763ull);
+}
