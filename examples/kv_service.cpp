@@ -49,7 +49,9 @@ main()
     std::string text = "value stored in the global flash address "
                        "space";
     PageBuffer value(text.begin(), text.end());
+    bool failed = false; // any printed check that did not hold
     service.put(client, /*key=*/42, value, [&](kv::KvStatus st) {
+        failed |= st != kv::KvStatus::Ok;
         std::printf("put key 42: %s\n",
                     st == kv::KvStatus::Ok ? "ok" : "FAILED");
     });
@@ -60,6 +62,7 @@ main()
                 owners[1]);
 
     service.get(client, 42, [&](PageBuffer v, kv::KvStatus st) {
+        failed |= st != kv::KvStatus::Ok || v != value;
         std::printf("get key 42: %s ('%s')\n",
                     st == kv::KvStatus::Ok ? "ok" : "miss",
                     std::string(v.begin(), v.end()).c_str());
@@ -71,6 +74,7 @@ main()
     service.multiGet(client, {42, 7, 999},
                      [&](std::vector<PageBuffer> values,
                          std::vector<kv::KvStatus> sts) {
+        failed |= sts[2] != kv::KvStatus::NotFound;
         std::printf("multi-get [42, 7, 999]: %zu B, %zu B, %s\n",
                     values[0].size(), values[1].size(),
                     sts[2] == kv::KvStatus::NotFound ? "miss"
@@ -79,6 +83,7 @@ main()
     sim.run();
 
     service.del(client, 42, [&](kv::KvStatus st) {
+        failed |= st != kv::KvStatus::Ok;
         std::printf("delete key 42: %s\n",
                     st == kv::KvStatus::Ok ? "ok" : "FAILED");
     });
@@ -136,5 +141,5 @@ main()
                 (unsigned long long)router.cacheStaleGets(),
                 (unsigned long long)validated,
                 (unsigned long long)coalesced);
-    return 0;
+    return failed ? 1 : 0;
 }

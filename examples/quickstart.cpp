@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/cluster.hh"
 #include "sim/simulator.hh"
@@ -89,19 +90,22 @@ main()
                 "(got=%d)\n",
                 ga.node, sim::ticksToUs(sim.now() - t0), int(got));
 
-    // --- 5. The compatibility FTL: a plain block device for
-    //        unmodified software.
-    flash::PageBuffer block(params.node.geometry.pageSize, 0x42);
-    node0.ftl().write(7, block, [](bool) {});
-    sim.run();
-    node0.ftl().read(7, [&](flash::PageBuffer data, bool rok) {
-        std::printf("FTL block 7 round-trip: %s\n",
-                    rok && data == block ? "ok" : "FAILED");
+    // --- 5. Host software reads the file back through the file
+    //        system and checks every byte.
+    std::vector<std::uint8_t> back;
+    bool rok = false;
+    node0.fs().read("greeting", 0, payload.size(),
+                    [&](std::vector<std::uint8_t> data, bool o) {
+        back = std::move(data);
+        rok = o;
     });
     sim.run();
+    bool same = rok && back == payload;
+    std::printf("LogFs read-back of '%s': %s\n", "greeting",
+                same ? "ok" : "FAILED");
 
     std::printf("simulated time: %.2f ms, events executed: %llu\n",
                 sim::ticksToUs(sim.now()) / 1000.0,
                 (unsigned long long)sim.eventsExecuted());
-    return 0;
+    return ok && got && same ? 0 : 1;
 }

@@ -33,9 +33,11 @@ main(int argc, char **argv)
     auto &node = cluster.node(0);
 
     // --- 1. Create a corpus with known needle positions and store
-    //        it as files in the FS.
+    //        it as files in the FS. 128 KB is half the tiny card: the
+    //        FS keeps blocks in reserve for its cleaner, so a corpus
+    //        the size of the whole card would not fit.
     auto corpus = analytics::makeCorpus(
-        256 * 1024, needle, /*occurrences=*/9, /*seed=*/3);
+        128 * 1024, needle, /*occurrences=*/9, /*seed=*/3);
     if (!node.fs().create("corpus.txt"))
         sim::fatal("create(corpus.txt) failed");
     bool ok = false;
@@ -46,6 +48,10 @@ main(int argc, char **argv)
                 "(ok=%d)\n",
                 (unsigned long long)node.fs().size("corpus.txt"),
                 corpus.needlePositions.size(), int(ok));
+    if (!ok) {
+        std::fprintf(stderr, "append(corpus.txt) failed\n");
+        return 1;
+    }
 
     // --- 2. Publish the file to the flash server ATU and search
     //        with the in-store Morris-Pratt engines.

@@ -4,10 +4,11 @@
 # build and standalone-header compilation -- cheap failures
 # short-circuit the expensive smokes), then build the release and
 # sanitizer presets, run the full test suite on both (any
-# ASan/UBSan finding fails the run), then regenerate the tracked
-# perf JSONs (BENCH_kernel.json from the kernel ablation,
-# BENCH_kv.json from the KV service bench) so the perf trajectory
-# stays machine-readable across PRs.
+# ASan/UBSan finding fails the run) and every example's self-check
+# on the release build, then regenerate the tracked perf JSONs
+# (BENCH_kernel.json from the kernel ablation, BENCH_kv.json from the
+# KV service bench) so the perf trajectory stays machine-readable
+# across PRs.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -39,6 +40,22 @@ cmake --build --preset release -j"${JOBS}"
 
 echo "=== release: ctest ==="
 ctest --preset release -j"${JOBS}"
+
+echo "=== release: examples ==="
+# Every example checks its own result and exits non-zero when a
+# check it prints fails; together they take well under a second.
+examples=(build/example_*)
+if [[ ! -x "${examples[0]}" ]]; then
+    echo "no example binaries in build/" >&2
+    exit 1
+fi
+for ex in "${examples[@]}"; do
+    "./${ex}" > /dev/null || {
+        echo "example gate: ${ex} exited non-zero" >&2
+        exit 1
+    }
+done
+echo "example gate ok: ${#examples[@]} examples passed their checks"
 
 echo "=== sanitize (ASan+UBSan): configure + build ==="
 cmake --preset sanitize

@@ -15,17 +15,16 @@ using net::Message;
 namespace {
 /**
  * FlashServer shapes per agent. The host interface mirrors the
- * paper's 128 page buffers (4 I/O interfaces x 32 deep); interfaces
- * 4 and 5 of the host server belong to the file system and the FTL,
- * and interface 6 is the file system's reserved read-spill lane (a
- * read-hot file stripes page reads onto it when the primary FS
- * queue is deep).
+ * paper's 128 page buffers (4 I/O interfaces x 32 deep); interface
+ * 4 of the host server belongs to the file system, and interface 5
+ * is the file system's reserved read-spill lane (a read-hot file
+ * stripes page reads onto it when the primary FS queue is deep).
  */
 constexpr unsigned ispIfcs = 4, ispDepth = 64;
-constexpr unsigned hostIfcs = 7, hostDepth = 32;
+constexpr unsigned hostIfcs = 6, hostDepth = 32;
 constexpr unsigned hostIoIfcs = 4;
 constexpr unsigned agentIfcs = 4, agentDepth = 64;
-constexpr unsigned fsIfc = 4, ftlIfc = 5, fsSpillIfc = 6;
+constexpr unsigned fsIfc = 4, fsSpillIfc = 5;
 } // namespace
 
 Node::Node(sim::Simulator &sim, net::StorageNetwork &net,
@@ -53,15 +52,11 @@ Node::Node(sim::Simulator &sim, net::StorageNetwork &net,
                 sim_, agent_port, agentIfcs, agentDepth));
     }
 
-    // File system on card 0; compatibility FTL on the last card so
-    // the two software stacks do not fight over blocks.
+    // The file system manages card 0's flash itself (section 4).
     fs::FsParams fsp;
     fsp.spillInterface = int(fsSpillIfc);
     fs_ = std::make_unique<fs::LogFs>(sim_, *hostServers_[0], fsIfc,
                                       params_.geometry, fsp);
-    ftl_ = std::make_unique<ftl::Ftl>(
-        sim_, *hostServers_[params_.cards - 1], ftlIfc,
-        params_.geometry);
 
     cpu_ = std::make_unique<host::HostCpu>(sim_, params_.cores);
     pcie_ = std::make_unique<host::PcieLink>(sim_, params_.pcie);

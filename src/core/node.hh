@@ -27,7 +27,6 @@
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
 #include "fs/log_fs.hh"
-#include "ftl/ftl.hh"
 #include "host/host_cpu.hh"
 #include "host/pcie.hh"
 #include "host/software.hh"
@@ -100,9 +99,6 @@ class Node
 
     /** Log-structured file system (lives on card 0). */
     fs::LogFs &fs() { return *fs_; }
-
-    /** Compatibility FTL block device (lives on the last card). */
-    ftl::Ftl &ftl() { return *ftl_; }
 
     /** Host CPU. */
     host::HostCpu &cpu() { return *cpu_; }
@@ -205,7 +201,6 @@ class Node
     std::vector<std::unique_ptr<flash::FlashServer>> hostServers_;
     std::vector<std::unique_ptr<flash::FlashServer>> agentServers_;
     std::unique_ptr<fs::LogFs> fs_;
-    std::unique_ptr<ftl::Ftl> ftl_;
     std::unique_ptr<host::HostCpu> cpu_;
     std::unique_ptr<host::PcieLink> pcie_;
     std::unique_ptr<sim::LatencyRateServer> deviceDram_;

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -79,103 +78,6 @@ class LatencyRateServer
     Tick latency_;
     Tick busyUntil_ = 0;
     std::uint64_t totalBytes_ = 0;
-};
-
-/**
- * Pool of identical parallel servers (e.g. the four Connectal DMA read
- * engines). A transfer occupies whichever engine frees first.
- */
-class ServerPool
-{
-  public:
-    /**
-     * @param servers       number of parallel engines
-     * @param bytes_per_sec per-engine rate
-     * @param latency       per-transfer latency
-     */
-    ServerPool(unsigned servers, double bytes_per_sec, Tick latency)
-    {
-        if (servers == 0)
-            fatal("ServerPool needs at least one server");
-        for (unsigned i = 0; i < servers; ++i)
-            servers_.emplace_back(bytes_per_sec, latency);
-    }
-
-    /** Issue a transfer on the earliest-free engine. */
-    Tick
-    occupy(Tick now, std::uint64_t bytes)
-    {
-        auto best = &servers_.front();
-        for (auto &s : servers_) {
-            if (s.busyUntil() < best->busyUntil())
-                best = &s;
-        }
-        return best->occupy(now, bytes);
-    }
-
-    /** Total bytes across all engines. */
-    std::uint64_t
-    totalBytes() const
-    {
-        std::uint64_t sum = 0;
-        for (const auto &s : servers_)
-            sum += s.totalBytes();
-        return sum;
-    }
-
-    /** Number of engines. */
-    std::size_t size() const { return servers_.size(); }
-
-  private:
-    std::vector<LatencyRateServer> servers_;
-};
-
-/**
- * Credit counter for token-based link-level flow control (paper
- * section 3.2.2). The sender consumes one token per flit and the
- * receiver returns tokens as it drains its buffer.
- */
-class TokenCredits
-{
-  public:
-    /** @param tokens initial (and maximum) credit count */
-    explicit TokenCredits(unsigned tokens)
-        : max_(tokens), avail_(tokens)
-    {
-        if (tokens == 0)
-            fatal("TokenCredits needs at least one token");
-    }
-
-    /** Whether a token is available to send. */
-    bool available() const { return avail_ > 0; }
-
-    /** Consume one token; caller must check available(). */
-    void
-    take()
-    {
-        if (avail_ == 0)
-            panic("TokenCredits::take with no tokens");
-        --avail_;
-    }
-
-    /** Return one token (receiver drained a flit). */
-    void
-    give()
-    {
-        if (avail_ >= max_)
-            panic("TokenCredits overflow: give past max %u", max_);
-        ++avail_;
-    }
-
-    /** Currently available tokens. */
-    unsigned count() const { return avail_; }
-
-    /** Maximum tokens (buffer depth at the receiver). */
-    unsigned max() const { return max_; }
-
-  private:
-    unsigned max_;
-    unsigned avail_;
 };
 
 } // namespace sim

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics: counters, accumulators and histograms used
- * by models and benchmark harnesses.
+ * Latency histogram used by models and benchmark harnesses (the
+ * named counters and the registry live in sim/metrics.hh).
  */
 
 #ifndef BLUEDBM_SIM_STATS_HH
@@ -11,169 +11,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace bluedbm {
 namespace sim {
-
-/**
- * Running scalar statistic: count, sum, min, max, mean, stddev.
- */
-class Accumulator
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        sumSq_ += v * v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-    /** Arithmetic mean, or 0 with no samples. */
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-
-    /** Population standard deviation. */
-    double
-    stddev() const
-    {
-        if (count_ == 0)
-            return 0.0;
-        double m = mean();
-        double var = sumSq_ / static_cast<double>(count_) - m * m;
-        return var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-
-    /** Smallest sample (+inf when empty). */
-    double min() const { return min_; }
-
-    /** Largest sample (-inf when empty). */
-    double max() const { return max_; }
-
-    /** Fold another accumulator's samples into this one. */
-    void
-    merge(const Accumulator &o)
-    {
-        count_ += o.count_;
-        sum_ += o.sum_;
-        sumSq_ += o.sumSq_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
-    /**
-     * Remove an earlier snapshot of *this* accumulator, leaving the
-     * statistics of the samples recorded since. Only valid against
-     * a copy taken from this same accumulator (monotone history);
-     * min/max cannot be un-merged and keep their all-time values.
-     */
-    void
-    subtract(const Accumulator &earlier)
-    {
-        count_ -= earlier.count_;
-        sum_ -= earlier.sum_;
-        sumSq_ -= earlier.sumSq_;
-        if (count_ == 0) {
-            min_ = std::numeric_limits<double>::infinity();
-            max_ = -std::numeric_limits<double>::infinity();
-        }
-    }
-
-    /** Forget all samples. */
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = sumSq_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width-bucket histogram with overflow bucket, suitable for
- * latency distributions.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (same unit as samples)
-     * @param buckets      number of regular buckets
-     */
-    Histogram(double bucket_width, std::size_t buckets)
-        : width_(bucket_width), counts_(buckets + 1, 0)
-    {
-    }
-
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        acc_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= counts_.size() - 1)
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-
-    /** Count in bucket @p i (last bucket is overflow). */
-    std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-
-    /** Number of buckets including overflow. */
-    std::size_t buckets() const { return counts_.size(); }
-
-    /** Underlying scalar statistics. */
-    const Accumulator &acc() const { return acc_; }
-
-    /**
-     * Approximate quantile from bucket boundaries.
-     *
-     * @param q quantile in [0,1]
-     * @return upper bound of the bucket containing the quantile
-     */
-    double
-    quantile(double q) const
-    {
-        std::uint64_t target =
-            static_cast<std::uint64_t>(q * static_cast<double>(
-                acc_.count()));
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < counts_.size(); ++i) {
-            seen += counts_[i];
-            if (seen > target)
-                return width_ * static_cast<double>(i + 1);
-        }
-        return width_ * static_cast<double>(counts_.size());
-    }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    Accumulator acc_;
-};
 
 /**
  * HDR-style latency histogram over integer values (typically ticks).
@@ -183,11 +24,11 @@ class Histogram
  * across the whole 64-bit range while using tens of kilobytes of
  * counters regardless of how many samples are recorded. This is what
  * a tail-latency report needs: p99.9 of a million samples without
- * storing a million values (compare plain Histogram, whose fixed
- * bucket width must be chosen per workload). The sub-bucket count
- * is chosen so that p99s of benchmark configs at adjacent scales
- * never quantize into one bucket edge: at ~1ms tick values a bucket
- * is ~4us wide, well under the differences the KV bench reports.
+ * storing a million values, with no bucket width to choose per
+ * workload. The sub-bucket count is chosen so that p99s of benchmark
+ * configs at adjacent scales never quantize into one bucket edge: at
+ * ~1ms tick values a bucket is ~4us wide, well under the differences
+ * the KV bench reports.
  *
  * record() is O(1); quantile() scans the (small, fixed) bucket
  * array. min/max/mean are tracked exactly.
@@ -201,7 +42,8 @@ class LatencyHistogram
     void
     record(std::uint64_t v)
     {
-        acc_.sample(static_cast<double>(v));
+        ++count_;
+        sum_ += static_cast<double>(v);
         if (v < minExact_)
             minExact_ = v;
         if (v > maxExact_)
@@ -210,23 +52,24 @@ class LatencyHistogram
     }
 
     /** Number of samples recorded. */
-    std::uint64_t count() const { return acc_.count(); }
+    std::uint64_t count() const { return count_; }
 
     /** Exact smallest sample (0 when empty). */
     std::uint64_t
     min() const
     {
-        return acc_.count() == 0 ? 0 : minExact_;
+        return count_ == 0 ? 0 : minExact_;
     }
 
     /** Exact largest sample (0 when empty). */
-    std::uint64_t max() const { return acc_.count() == 0 ? 0 : maxExact_; }
+    std::uint64_t max() const { return count_ == 0 ? 0 : maxExact_; }
 
     /** Exact arithmetic mean (0 when empty). */
-    double mean() const { return acc_.mean(); }
-
-    /** Underlying scalar statistics. */
-    const Accumulator &acc() const { return acc_; }
+    double
+    mean() const
+    {
+        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    }
 
     /**
      * Value at quantile @p q in [0,1], within ~0.8% relative error.
@@ -237,7 +80,7 @@ class LatencyHistogram
     std::uint64_t
     quantile(double q) const
     {
-        std::uint64_t n = acc_.count();
+        std::uint64_t n = count_;
         if (n == 0)
             return 0;
         if (q < 0.0)
@@ -274,7 +117,8 @@ class LatencyHistogram
     void
     merge(const LatencyHistogram &o)
     {
-        acc_.merge(o.acc_);
+        count_ += o.count_;
+        sum_ += o.sum_;
         minExact_ = std::min(minExact_, o.minExact_);
         maxExact_ = std::max(maxExact_, o.maxExact_);
         for (std::size_t i = 0; i < counts_.size(); ++i)
@@ -293,10 +137,11 @@ class LatencyHistogram
     void
     subtract(const LatencyHistogram &earlier)
     {
-        acc_.subtract(earlier.acc_);
+        count_ -= earlier.count_;
+        sum_ -= earlier.sum_;
         for (std::size_t i = 0; i < counts_.size(); ++i)
             counts_[i] -= earlier.counts_[i];
-        if (acc_.count() == 0) {
+        if (count_ == 0) {
             minExact_ = ~std::uint64_t(0);
             maxExact_ = 0;
         }
@@ -306,7 +151,8 @@ class LatencyHistogram
     void
     reset()
     {
-        acc_.reset();
+        count_ = 0;
+        sum_ = 0.0;
         minExact_ = ~std::uint64_t(0);
         maxExact_ = 0;
         std::fill(counts_.begin(), counts_.end(), 0);
@@ -358,7 +204,8 @@ class LatencyHistogram
         return lower + (std::uint64_t(1) << (k - subBits)) - 1;
     }
 
-    Accumulator acc_;
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0; //!< running sum of samples, for mean()
     std::uint64_t minExact_ = ~std::uint64_t(0);
     std::uint64_t maxExact_ = 0;
     std::vector<std::uint64_t> counts_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for latency-rate servers, server pools and token credits.
+ * Unit tests for latency-rate servers.
  */
 
 #include <gtest/gtest.h>
@@ -60,59 +60,4 @@ TEST(LatencyRateServer, TracksTotalBytes)
     ch.occupy(0, 100);
     ch.occupy(0, 200);
     EXPECT_EQ(ch.totalBytes(), 300u);
-}
-
-TEST(ServerPool, ParallelEnginesMultiplyThroughput)
-{
-    // 4 engines at 400 MB/s each: 16 transfers of 1 MB finish 4x
-    // faster than on one engine.
-    sim::ServerPool pool(4, 400e6, 0);
-    Tick done = 0;
-    for (int i = 0; i < 16; ++i)
-        done = std::max(done, pool.occupy(0, 1 << 20));
-    sim::LatencyRateServer single(400e6, 0);
-    Tick single_done = 0;
-    for (int i = 0; i < 16; ++i)
-        single_done = single.occupy(0, 1 << 20);
-    EXPECT_NEAR(static_cast<double>(single_done) /
-                    static_cast<double>(done), 4.0, 0.01);
-}
-
-TEST(ServerPool, PicksEarliestFreeEngine)
-{
-    sim::ServerPool pool(2, 1e9, 0);
-    Tick a = pool.occupy(0, 1000); // engine 0 busy till 1000ns
-    Tick b = pool.occupy(0, 500);  // engine 1 busy till 500ns
-    // Next transfer should land on engine 1 (earliest free).
-    Tick c = pool.occupy(0, 100);
-    EXPECT_EQ(c, b + sim::nsToTicks(100));
-    EXPECT_LT(c, a + sim::nsToTicks(100));
-}
-
-TEST(TokenCredits, TakeAndGiveRoundTrip)
-{
-    sim::TokenCredits credits(3);
-    EXPECT_EQ(credits.count(), 3u);
-    credits.take();
-    credits.take();
-    EXPECT_EQ(credits.count(), 1u);
-    EXPECT_TRUE(credits.available());
-    credits.take();
-    EXPECT_FALSE(credits.available());
-    credits.give();
-    EXPECT_TRUE(credits.available());
-    EXPECT_EQ(credits.max(), 3u);
-}
-
-TEST(TokenCreditsDeath, TakeWithoutTokensPanics)
-{
-    sim::TokenCredits credits(1);
-    credits.take();
-    EXPECT_DEATH(credits.take(), "no tokens");
-}
-
-TEST(TokenCreditsDeath, GivePastMaxPanics)
-{
-    sim::TokenCredits credits(1);
-    EXPECT_DEATH(credits.give(), "overflow");
 }

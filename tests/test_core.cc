@@ -193,26 +193,6 @@ TEST(Cluster, RemoteDramReadSkipsStorage)
     EXPECT_EQ(cluster.node(1).card(1).nand().pagesRead(), 0u);
 }
 
-TEST(Cluster, FsAndFtlCoexistOnOneNode)
-{
-    sim::Simulator sim;
-    Cluster cluster(sim, tinyCluster(2));
-    auto &node = cluster.node(0);
-
-    ASSERT_TRUE(node.fs().create("file"));
-    std::vector<std::uint8_t> data(1000, 0x42);
-    bool fs_ok = false;
-    node.fs().append("file", data, [&](bool ok) { fs_ok = ok; });
-
-    bool ftl_ok = false;
-    node.ftl().write(
-        0, PageBuffer(flash::Geometry::tiny().pageSize, 7),
-        [&](bool ok) { ftl_ok = ok; });
-    sim.run();
-    EXPECT_TRUE(fs_ok);
-    EXPECT_TRUE(ftl_ok);
-}
-
 TEST(Cluster, CapacityMatchesPaperScale)
 {
     // With default geometry, a 20-node cluster holds 20 TB of flash

@@ -2,7 +2,7 @@
  * @file
  * Cross-module integration tests: the whole appliance exercised end
  * to end -- cluster-scale smoke, FS + ISP + network combined flows,
- * multi-application accelerator sharing, and failure injection.
+ * and failure injection.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "analytics/text.hh"
 #include "core/cluster.hh"
-#include "isp/scheduler.hh"
 #include "isp/string_search.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -145,35 +144,6 @@ TEST(Integration, DistributedSearchAcrossNodes)
         EXPECT_EQ(found[n], expected[n]) << "node " << n;
 }
 
-TEST(Integration, SchedulerSharesEnginesAcrossApplications)
-{
-    // Two "applications" each submit many NN-style jobs to a pool of
-    // two accelerator units; FIFO sharing must interleave them and
-    // complete everything.
-    sim::Simulator sim;
-    Cluster cluster(sim, smallCluster(net::Topology::line(2)));
-    isp::AcceleratorScheduler sched(sim, 2);
-    const auto &geo = flash::Geometry::tiny();
-
-    std::map<int, int> completed;
-    for (int job = 0; job < 24; ++job) {
-        int app = job % 2;
-        sched.submit([&, app](unsigned, std::function<void()> rel) {
-            flash::Address addr = flash::Address::fromLinear(
-                geo, std::uint64_t(app * 37) % geo.pages());
-            cluster.node(0).ispReadLocal(
-                0, addr, [&, app, rel](PageBuffer) {
-                ++completed[app];
-                rel();
-            });
-        });
-    }
-    sim.run();
-    EXPECT_EQ(completed[0], 12);
-    EXPECT_EQ(completed[1], 12);
-    EXPECT_EQ(sched.granted(), 24u);
-}
-
 TEST(Integration, UncorrectableErrorsSurfaceThroughFullStack)
 {
     // Failure injection: crank the bit error rate so high that
@@ -252,32 +222,29 @@ TEST(IntegrationDeath, MalformedConfigsAreFatal)
                  "bad node count");
 }
 
-TEST(Integration, FsAndFtlSurviveConcurrentRemoteTraffic)
+TEST(Integration, FsSurvivesConcurrentRemoteTraffic)
 {
-    // Local FS writes, FTL writes and remote agent reads all share
-    // each card's controller; everything must complete and verify.
+    // Local FS writes and remote agent reads share card 0's
+    // controller; everything must complete and verify.
     sim::Simulator sim;
     Cluster cluster(sim, smallCluster(net::Topology::line(2)));
     auto &n0 = cluster.node(0);
     const auto page = flash::Geometry::tiny().pageSize;
 
     ASSERT_TRUE(n0.fs().create("busy"));
-    bool fs_ok = false, ftl_ok = false;
+    bool fs_ok = false;
     n0.fs().append("busy", std::vector<std::uint8_t>(page * 3, 0x33),
                    [&](bool ok) { fs_ok = ok; });
-    n0.ftl().write(5, PageBuffer(page, 0x44),
-                   [&](bool ok) { ftl_ok = ok; });
 
-    // Meanwhile node 1 hammers node 0's agent port.
+    // Meanwhile node 1 hammers node 0's agent port on the FS card.
     int remote_done = 0;
     for (int i = 0; i < 50; ++i) {
         cluster.node(1).ispReadRemote(
-            0, 1, flash::Address{1, 0, 1, std::uint32_t(i % 16)},
+            0, 0, flash::Address{1, 0, 1, std::uint32_t(i % 16)},
             [&](PageBuffer) { ++remote_done; });
     }
     sim.run();
     EXPECT_TRUE(fs_ok);
-    EXPECT_TRUE(ftl_ok);
     EXPECT_EQ(remote_done, 50);
 
     auto read_back = [&](const std::string &name) {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the in-store processing engines: Morris-Pratt matching,
- * string search over the flash server, and the FIFO accelerator
- * scheduler.
+ * Tests for the in-store processing engines: Morris-Pratt matching
+ * and string search over the flash server.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "flash/flash_server.hh"
 #include "fs/log_fs.hh"
 #include "isp/morris_pratt.hh"
-#include "isp/scheduler.hh"
 #include "isp/string_search.hh"
 #include "sim/simulator.hh"
 
@@ -24,7 +22,6 @@ using flash::FlashCard;
 using flash::FlashServer;
 using flash::Geometry;
 using flash::Timing;
-using isp::AcceleratorScheduler;
 using isp::MpMatcher;
 using isp::MpPattern;
 using isp::SearchResult;
@@ -243,61 +240,4 @@ TEST(StringSearch, ScansAtFlashStreamBandwidth)
     double chip_ceiling = double(f.geo.chips()) * wire_page /
         sim::ticksToSec(t.readUs);
     EXPECT_GT(rate, chip_ceiling * 0.6);
-}
-
-TEST(Scheduler, JobsRunFifoAcrossUnits)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 2);
-    std::vector<int> order;
-    for (int i = 0; i < 6; ++i) {
-        sched.submit([&order, i, &sim](unsigned,
-                                       std::function<void()> rel) {
-            order.push_back(i);
-            sim.scheduleAfter(sim::usToTicks(10), rel);
-        });
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 6u);
-    for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(order[i], i);
-    EXPECT_EQ(sched.granted(), 6u);
-    EXPECT_EQ(sched.freeUnits(), 2u);
-}
-
-TEST(Scheduler, ConcurrencyBoundedByUnits)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 3);
-    int running = 0, peak = 0;
-    for (int i = 0; i < 10; ++i) {
-        sched.submit([&](unsigned, std::function<void()> rel) {
-            ++running;
-            peak = std::max(peak, running);
-            sim.scheduleAfter(sim::usToTicks(5), [&, rel]() {
-                --running;
-                rel();
-            });
-        });
-    }
-    sim.run();
-    EXPECT_EQ(peak, 3);
-    EXPECT_EQ(running, 0);
-}
-
-TEST(Scheduler, UnitsReusedAfterRelease)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 1);
-    std::vector<unsigned> units;
-    for (int i = 0; i < 4; ++i) {
-        sched.submit([&](unsigned u, std::function<void()> rel) {
-            units.push_back(u);
-            rel();
-        });
-    }
-    sim.run();
-    ASSERT_EQ(units.size(), 4u);
-    for (unsigned u : units)
-        EXPECT_EQ(u, 0u);
 }

@@ -2,7 +2,7 @@
  * @file
  * Parameterized property sweeps (TEST_P): invariants that must hold
  * across whole families of configurations -- network topologies,
- * flash geometries, FTL over-provisioning levels and link
+ * flash geometries, file-system cleaner watermarks and link
  * parameters.
  */
 
@@ -16,7 +16,7 @@
 
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
-#include "ftl/ftl.hh"
+#include "fs/log_fs.hh"
 #include "net/network.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -256,59 +256,88 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ----------------------------------------------------------------- //
-// FTL invariants across over-provisioning levels
+// File-system cleaner invariants across watermark settings
 // ----------------------------------------------------------------- //
 
-class FtlOverProvisionProperty
-    : public ::testing::TestWithParam<double>
+class LogFsCleanerProperty
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
 {
 };
 
-TEST_P(FtlOverProvisionProperty, HotWorkloadStaysCorrectAndBounded)
+TEST_P(LogFsCleanerProperty, HotRewritesStayCorrectAndBounded)
 {
-    double op = GetParam();
+    auto [low, high] = GetParam();
     sim::Simulator sim;
     flash::Geometry geo = flash::Geometry::tiny();
     flash::FlashCard card(sim, geo, flash::Timing::fast(), 64);
     auto &port = card.splitter().addPort(64);
     flash::FlashServer server(sim, port, 1, 16);
-    ftl::FtlParams params;
-    params.overProvision = op;
-    ftl::Ftl ftl(sim, server, 0, geo, params);
+    fs::FsParams params;
+    params.cleanLowWater = low;
+    params.cleanHighWater = high;
+    fs::LogFs fs(sim, server, 0, geo, params);
+    ASSERT_TRUE(fs.create("hot"));
 
+    // A hot set of pages rewritten the way kv::KvShard keeps its
+    // log: append the new copy, then trim the file page it
+    // supersedes. 1440 appends fill the 512-page card ~3 times.
     const std::uint64_t hot = 12;
-    const int rounds = 120;
-    auto pattern = [&](std::uint32_t seed) {
-        flash::PageBuffer p(geo.pageSize);
+    const std::uint64_t rounds = 120;
+    auto pattern = [&](std::uint64_t fpage) {
+        std::vector<std::uint8_t> p(geo.pageSize);
         for (std::size_t i = 0; i < p.size(); ++i)
-            p[i] = std::uint8_t(seed * 17 + i);
+            p[i] = std::uint8_t(fpage * 17 + i);
         return p;
     };
-    for (int r = 0; r < rounds; ++r) {
-        for (std::uint64_t lpn = 0; lpn < hot; ++lpn) {
-            ftl.write(lpn, pattern(std::uint32_t(r * hot + lpn)),
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        for (std::uint64_t k = 0; k < hot; ++k) {
+            fs.append("hot", pattern(r * hot + k),
                       [](bool ok) { EXPECT_TRUE(ok); });
         }
         sim.run();
+        if (r == 0)
+            continue;
+        for (std::uint64_t k = 0; k < hot; ++k)
+            EXPECT_TRUE(fs.trim("hot", (r - 1) * hot + k));
     }
-    for (std::uint64_t lpn = 0; lpn < hot; ++lpn) {
-        flash::PageBuffer got;
-        ftl.read(lpn, [&](flash::PageBuffer d, bool ok) {
+
+    auto readSync = [&](std::uint64_t off, std::uint64_t len) {
+        std::vector<std::uint8_t> got;
+        fs.read("hot", off, len,
+                [&](std::vector<std::uint8_t> d, bool ok) {
             EXPECT_TRUE(ok);
             got = std::move(d);
         });
         sim.run();
-        EXPECT_EQ(got,
-                  pattern(std::uint32_t((rounds - 1) * hot + lpn)));
+        return got;
+    };
+    const std::uint64_t live = (rounds - 1) * hot;
+    for (std::uint64_t fpage = live; fpage < rounds * hot; ++fpage) {
+        EXPECT_EQ(readSync(fpage * geo.pageSize, geo.pageSize),
+                  pattern(fpage))
+            << "file page " << fpage;
     }
-    // A hot set much smaller than a block keeps WAF modest at any
-    // sane over-provisioning.
-    EXPECT_LT(ftl.writeAmplification(), 2.0);
-    EXPECT_GT(ftl.freeBlocks(), 0u);
+    EXPECT_EQ(readSync(0, live * geo.pageSize),
+              std::vector<std::uint8_t>(live * geo.pageSize, 0));
+
+    EXPECT_GT(fs.blocksErased(), 0u);
+    EXPECT_GT(fs.freeBlocks(), 0u);
+    // A hot set smaller than a block leaves the cleaner's victims
+    // almost empty: write amplification stays modest.
+    double wa = double(fs.pagesWritten() + fs.pagesCleaned()) /
+        double(fs.pagesWritten());
+    EXPECT_LT(wa, 2.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(OverProvision, FtlOverProvisionProperty,
-                         ::testing::Values(0.07, 0.125, 0.25, 0.4));
+INSTANTIATE_TEST_SUITE_P(
+    Watermarks, LogFsCleanerProperty,
+    ::testing::Values(std::make_tuple(2u, 4u), std::make_tuple(4u, 8u),
+                      std::make_tuple(6u, 12u)),
+    [](const ::testing::TestParamInfo<std::tuple<unsigned, unsigned>>
+           &info) {
+        return "low" + std::to_string(std::get<0>(info.param)) +
+            "_high" + std::to_string(std::get<1>(info.param));
+    });
 
 // ----------------------------------------------------------------- //
 // Link parameter sweeps: rate and latency scale as configured

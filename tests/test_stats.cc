@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, accumulators and histograms.
+ * Unit tests for the latency histogram.
  */
 
 #include <gtest/gtest.h>
@@ -13,87 +13,6 @@
 #include "sim/stats.hh"
 
 using namespace bluedbm;
-
-TEST(Accumulator, EmptyIsZero)
-{
-    sim::Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(Accumulator, MeanMinMax)
-{
-    sim::Accumulator a;
-    for (double v : {2.0, 4.0, 6.0})
-        a.sample(v);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-}
-
-TEST(Accumulator, StddevOfConstantIsZero)
-{
-    sim::Accumulator a;
-    for (int i = 0; i < 10; ++i)
-        a.sample(5.0);
-    EXPECT_NEAR(a.stddev(), 0.0, 1e-9);
-}
-
-TEST(Accumulator, StddevKnownValue)
-{
-    sim::Accumulator a;
-    // Population stddev of {1,2,3,4} is sqrt(1.25).
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        a.sample(v);
-    EXPECT_NEAR(a.stddev(), std::sqrt(1.25), 1e-9);
-}
-
-TEST(Accumulator, ResetClearsState)
-{
-    sim::Accumulator a;
-    a.sample(1.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-}
-
-TEST(Histogram, BucketsSamplesCorrectly)
-{
-    sim::Histogram h(10.0, 5);
-    h.sample(0.0);   // bucket 0
-    h.sample(9.99);  // bucket 0
-    h.sample(10.0);  // bucket 1
-    h.sample(49.0);  // bucket 4
-    h.sample(1000);  // overflow
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(4), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.buckets(), 6u);
-}
-
-TEST(Histogram, QuantileApproximation)
-{
-    sim::Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i) + 0.5);
-    // Median should be near 50.
-    EXPECT_NEAR(h.quantile(0.5), 51.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 91.0, 1.5);
-}
-
-TEST(Histogram, TracksUnderlyingAccumulator)
-{
-    sim::Histogram h(1.0, 4);
-    h.sample(1.0);
-    h.sample(3.0);
-    EXPECT_EQ(h.acc().count(), 2u);
-    EXPECT_DOUBLE_EQ(h.acc().mean(), 2.0);
-}
 
 namespace {
 
@@ -136,6 +55,7 @@ TEST(LatencyHistogram, EmptyIsZero)
     EXPECT_EQ(h.quantile(0.5), 0u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
 }
 
 TEST(LatencyHistogram, SmallValuesAreExact)
@@ -149,6 +69,8 @@ TEST(LatencyHistogram, SmallValuesAreExact)
     EXPECT_EQ(h.quantile(1.0), 99u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 99u);
+    // Sum 0..99 = 4950 over 100 samples: exact in double.
+    EXPECT_EQ(h.mean(), 49.5);
 }
 
 TEST(LatencyHistogram, PercentilesMatchSortedOracle)
