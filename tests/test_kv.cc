@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hh"
 #include "kv/kv_router.hh"
 #include "kv/kv_service.hh"
 #include "kv/kv_shard.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 using namespace bluedbm;
@@ -645,6 +648,230 @@ TEST(KvShard, DeleteTombstoneBlocksRollbackResurrection)
     sim.run();
     EXPECT_EQ(get_st, KvStatus::NotFound);
     EXPECT_FALSE(shard.contains(4));
+}
+
+// ---------------------------------------------------------------- //
+// KvShard against a reference model
+// ---------------------------------------------------------------- //
+
+namespace {
+
+/** One key of the reference model: a live value or a tombstone. */
+struct ModelKey
+{
+    bool live = false;
+    std::uint64_t stamp = 0;
+    PageBuffer value;
+};
+
+using Model = std::map<Key, ModelKey>;
+
+/**
+ * Compare every quiescent observable of @p shard with @p model:
+ * counts, byte totals, per-key repair state, the hash-ordered range
+ * enumeration, and a get of every key in [0, keys).
+ */
+void
+checkAgainstModel(sim::Simulator &sim, kv::KvShard &shard,
+                  const Model &model, Key keys,
+                  std::uint64_t log_bytes)
+{
+    std::size_t live = 0;
+    std::uint64_t live_bytes = 0;
+    std::vector<std::pair<std::uint64_t, kv::KvShard::RangeEntry>>
+        want;
+    for (const auto &[key, mk] : model) {
+        if (mk.live) {
+            ++live;
+            live_bytes += mk.value.size();
+        }
+        want.push_back({kv::mix64(key),
+                        kv::KvShard::RangeEntry{key, mk.stamp,
+                                                mk.live, false}});
+    }
+    std::sort(want.begin(), want.end(),
+              [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    });
+    EXPECT_EQ(shard.keyCount(), live);
+    EXPECT_EQ(shard.liveBytes(), live_bytes);
+    EXPECT_EQ(shard.logBytes(), log_bytes);
+    EXPECT_EQ(shard.repairIndexSize(), model.size());
+
+    std::vector<kv::KvShard::RangeEntry> got;
+    shard.rangeEntries(0, ~std::uint64_t(0), got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].key, want[i].second.key);
+        EXPECT_EQ(got[i].stamp, want[i].second.stamp);
+        EXPECT_EQ(got[i].live, want[i].second.live);
+        EXPECT_FALSE(got[i].corrupt);
+    }
+
+    for (Key k = 0; k < keys; ++k) {
+        auto it = model.find(k);
+        bool known = it != model.end();
+        bool live_k = known && it->second.live;
+        EXPECT_EQ(shard.contains(k), live_k) << "key " << k;
+        std::uint64_t stamp = 0;
+        bool is_live = false;
+        bool corrupt = true;
+        EXPECT_EQ(shard.keyState(k, &stamp, &is_live, &corrupt), known)
+            << "key " << k;
+        if (known) {
+            EXPECT_EQ(stamp, it->second.stamp) << "key " << k;
+            EXPECT_EQ(is_live, it->second.live) << "key " << k;
+            EXPECT_FALSE(corrupt) << "key " << k;
+        }
+        bool called = false;
+        shard.get(k, [&, k, live_k](PageBuffer v, KvStatus st,
+                                    std::uint64_t) {
+            called = true;
+            EXPECT_EQ(st, live_k ? KvStatus::Ok : KvStatus::NotFound)
+                << "key " << k;
+            if (live_k) {
+                EXPECT_EQ(v, model.at(k).value) << "key " << k;
+            }
+        });
+        sim.run();
+        EXPECT_TRUE(called) << "key " << k;
+    }
+}
+
+/**
+ * Seeded random batches of put, del, get, repairPut and repairDel,
+ * each issued at one instant and run to quiescence with the write
+ * fault either armed (every append of the batch fails) or disarmed
+ * (every append lands); pruneTombstones runs between batches.
+ * Inside a batch the model tracks the optimistic state each op
+ * observes. A failed batch settles every key at its durable state:
+ * the last one not produced by a put of that batch.
+ */
+void
+runShardModel(std::uint64_t seed)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(2));
+    kv::KvShard shard(sim, cluster.node(0).fs(), "t");
+    sim::Rng rng(seed);
+    constexpr Key keys = 8;
+    Model model;
+    std::uint64_t stamp = 0;
+    std::uint64_t log_bytes = 0;
+
+    for (int batch = 0; batch < 150; ++batch) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        bool fault = rng.below(4) == 0;
+        if (fault)
+            armWriteFault(cluster, 0);
+        else
+            disarmWriteFault(cluster, 0);
+        Model durable = model;
+        KvStatus put_st = fault ? KvStatus::Error : KvStatus::Ok;
+        int issued = 0;
+        int acked = 0;
+        auto expect = [&acked](KvStatus want) {
+            return [&acked, want](KvStatus st) {
+                ++acked;
+                EXPECT_EQ(st, want);
+            };
+        };
+        // A repair push applies only past every stamp the key has.
+        auto newer = [&model](Key k, std::uint64_t s) {
+            auto it = model.find(k);
+            return it == model.end() || it->second.stamp < s;
+        };
+        auto modelPut = [&](Key k, PageBuffer v, std::uint64_t s) {
+            if (!fault)
+                log_bytes += 12 + v.size();
+            model[k] = ModelKey{true, s, std::move(v)};
+        };
+        auto modelDel = [&](Key k, std::uint64_t s) {
+            auto it = model.find(k);
+            KvStatus st = it != model.end() && it->second.live
+                              ? KvStatus::Ok
+                              : KvStatus::NotFound;
+            model[k] = durable[k] = ModelKey{false, s, {}};
+            return st;
+        };
+
+        unsigned ops = 1 + unsigned(rng.below(6));
+        for (unsigned op = 0; op < ops; ++op, ++issued) {
+            Key k = rng.below(keys);
+            std::uint64_t kind = rng.below(20);
+            if (kind < 7) {
+                PageBuffer v(1 + rng.below(200),
+                             std::uint8_t(rng.next()));
+                std::uint64_t s = ++stamp;
+                shard.put(k, v, s, expect(put_st));
+                modelPut(k, std::move(v), s);
+            } else if (kind < 10) {
+                std::uint64_t s = ++stamp;
+                shard.del(k, s, expect(modelDel(k, s)));
+            } else if (kind < 15) {
+                auto it = model.find(k);
+                bool live = it != model.end() && it->second.live;
+                PageBuffer want = live ? it->second.value : PageBuffer{};
+                shard.get(k, [&acked, live, want](PageBuffer v,
+                                                  KvStatus st,
+                                                  std::uint64_t) {
+                    ++acked;
+                    EXPECT_EQ(st,
+                              live ? KvStatus::Ok : KvStatus::NotFound);
+                    EXPECT_EQ(v, want);
+                });
+            } else if (kind < 18) {
+                std::uint64_t s = rng.range(1, stamp + 2);
+                stamp = std::max(stamp, s);
+                PageBuffer v(1 + rng.below(200),
+                             std::uint8_t(rng.next()));
+                bool applies = newer(k, s);
+                shard.repairPut(k, v, s,
+                                expect(applies ? put_st : KvStatus::Ok));
+                if (applies)
+                    modelPut(k, std::move(v), s);
+            } else {
+                std::uint64_t s = rng.range(1, stamp + 2);
+                stamp = std::max(stamp, s);
+                KvStatus want = newer(k, s) ? modelDel(k, s)
+                                            : KvStatus::Ok;
+                shard.repairDel(k, s, expect(want));
+            }
+        }
+        sim.run();
+        EXPECT_EQ(acked, issued);
+        if (fault)
+            model = durable;
+
+        if (rng.below(5) == 0) {
+            std::uint64_t lo = rng.next();
+            std::uint64_t hi = rng.below(2) ? ~std::uint64_t(0)
+                                            : rng.next();
+            std::uint64_t below = rng.range(0, stamp + 1);
+            shard.pruneTombstones(lo, hi, below);
+            for (auto it = model.begin(); it != model.end();) {
+                std::uint64_t h = kv::mix64(it->first);
+                if (!it->second.live && it->second.stamp < below &&
+                    h >= lo && h <= hi)
+                    it = model.erase(it);
+                else
+                    ++it;
+            }
+        }
+        checkAgainstModel(sim, shard, model, keys, log_bytes);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+} // namespace
+
+TEST(KvShard, RandomOpsMatchReferenceModel)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        runShardModel(seed);
+    }
 }
 
 // ---------------------------------------------------------------- //
