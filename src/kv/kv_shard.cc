@@ -71,6 +71,45 @@ KvShard::~KvShard()
     *alive_ = false;
 }
 
+KvShard::KeyRecord &
+KvShard::recordFor(Key key)
+{
+    auto [it, fresh] = records_.try_emplace(key);
+    if (fresh)
+        byHash_.emplace(mix64(key), &*it);
+    return it->second;
+}
+
+void
+KvShard::retire(Records::iterator it)
+{
+    const KeyRecord &r = it->second;
+    if (r.cur.presence != Presence::Absent || r.inflight != 0)
+        return;
+    byHash_.erase(mix64(it->first));
+    records_.erase(it);
+}
+
+bool
+KvShard::covers(Key key, std::uint64_t stamp) const
+{
+    auto it = records_.find(key);
+    return it != records_.end() &&
+           it->second.cur.presence != Presence::Absent &&
+           !it->second.corrupt && it->second.cur.stamp >= stamp;
+}
+
+void
+KvShard::ackLater(AckDone done, KvStatus st)
+{
+    sim_.scheduleAfter(0, [alive = alive_, st,
+                           done = std::move(done)]() {
+        if (!*alive)
+            return;
+        done(st);
+    });
+}
+
 void
 KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
              AckDone done, flash::Priority pri, std::uint64_t trace)
@@ -93,12 +132,7 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
                     : fs_.underPressure();
     if (shed) {
         pressuredPuts_.inc();
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Pressure);
-        });
+        ackLater(std::move(done), KvStatus::Pressure);
         return;
     }
     auto len = static_cast<std::uint32_t>(value.size());
@@ -113,69 +147,47 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
     std::uint64_t value_offset = fs_.size(log) + recordHeaderBytes;
     std::uint64_t record_bytes = record.size();
 
-    std::uint64_t hash = mix64(key);
-    Entry &e = index_[key];
-    // With no append in flight, the current entry (or absence) IS
-    // the durable state: snapshot it as the rollback target for the
-    // in-flight chain this put starts. The snapshot lives exactly
-    // as long as the chain does. An absent entry may still carry a
-    // tombstone stamp in the repair index; preserve it so a failed
-    // re-put rolls back to the tombstone, not to oblivion.
-    if (inflightPuts_[key]++ == 0) {
-        Durable &d = durable_[key];
-        d.valueOffset = e.valueOffset;
-        d.valueLen = e.valueLen;
-        d.version = e.version;
-        d.stamp = e.stamp;
-        d.live = e.version != 0;
-        if (!d.live) {
-            auto hit = byHash_.find(hash);
-            if (hit != byHash_.end())
-                d.stamp = hit->second.stamp; // tombstone stamp
-        }
-    }
+    KeyRecord &r = recordFor(key);
+    // With no append in flight, the current state (live, tombstone
+    // or absent) IS the durable state: snapshot it as the rollback
+    // target for the in-flight chain this put starts.
+    if (r.inflight++ == 0)
+        r.snap = r.cur;
     // Record the version this put supersedes: when THIS append
     // becomes durable the superseded record's bytes are dead and
     // get charged to their log pages (see markDead). Deferred to
     // the completion so a failed append's rollback never finds its
     // restore target already trimmed.
-    bool prev_live = e.version != 0;
-    std::uint64_t prev_offset = e.valueOffset;
-    std::uint32_t prev_len = e.valueLen;
-    if (e.version != 0)
-        liveBytes_ -= e.valueLen; // overwrite: old version is dead
-    e.valueOffset = value_offset;
-    e.valueLen = len;
-    e.stamp = stamp;
+    bool prev_live = r.cur.presence == Presence::Live;
+    std::uint64_t prev_offset = r.cur.valueOffset;
+    std::uint32_t prev_len = r.cur.valueLen;
+    if (prev_live)
+        liveBytes_ -= prev_len; // overwrite: old version is dead
     // Shard-global version: a delete + re-put must never collide
     // with a still-in-flight append of the key's previous life.
-    std::uint64_t version = e.version = ++nextVersion_;
+    std::uint64_t version = ++nextVersion_;
+    r.cur = Slot{value_offset, version, stamp, len, Presence::Live};
+    r.corrupt = false;
     liveBytes_ += len;
     logBytes_ += record_bytes;
-    byHash_[hash] = HashState{key, stamp, true};
 
     // Reads must see this version immediately (read-your-writes):
     // park it in the memtable until the append is durable.
-    memtable_[key] = std::move(value);
+    r.memtable = std::move(value);
 
     fs_.append(log, std::move(record),
-               [this, alive = alive_, key, hash, version, stamp,
+               [this, alive = alive_, key, version, stamp,
                 value_offset, len, record_bytes, prev_live,
                 prev_offset, prev_len,
                 done = std::move(done)](bool ok) {
         if (!*alive)
             return; // shard (and its owner) died mid-append
-        auto it = index_.find(key);
-        bool current =
-            it != index_.end() && it->second.version == version;
-        // Last completion of the key's in-flight chain: the
-        // rollback snapshot is no longer reachable after this
-        // handler, so drop it (bounds durable_ by in-flight keys,
-        // not every key ever written).
-        auto cit = inflightPuts_.find(key);
-        bool last_inflight = --cit->second == 0;
-        if (last_inflight)
-            inflightPuts_.erase(cit);
+        // The in-flight count keeps the record alive until here.
+        auto it = records_.find(key);
+        KeyRecord &rec = it->second;
+        bool live = rec.cur.presence == Presence::Live;
+        bool current = live && rec.cur.version == version;
+        --rec.inflight;
         if (!ok) {
             // The record never became durable: charge it off and,
             // if no newer operation superseded this one, roll the
@@ -186,58 +198,35 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
             // The failed record's byte range is garbage forever
             // (log offsets are never reused): account it as dead.
             // Only when no NEWER put is in flight, though -- a
-            // newer put captured this range as ITS rollback
+            // newer put captured this range as ITS superseded
             // predecessor and will account it on its own
             // completion; marking twice could trim a page whose
             // dead-byte count was double-charged.
-            if (current || it == index_.end())
+            if (current || !live)
                 markDead(fileFor(key),
                          value_offset - recordHeaderBytes,
                          std::uint64_t(len) + recordHeaderBytes);
             if (current) {
-                memtable_.erase(key);
-                liveBytes_ -= it->second.valueLen;
-                const Durable &d = durable_.at(key);
-                if (d.live) {
-                    it->second.valueOffset = d.valueOffset;
-                    it->second.valueLen = d.valueLen;
-                    it->second.version = d.version;
-                    it->second.stamp = d.stamp;
-                    liveBytes_ += d.valueLen;
-                    byHash_[hash] = HashState{key, d.stamp, true};
-                } else {
-                    index_.erase(it);
-                    // Roll the repair index back too: to the prior
-                    // tombstone when there was one, else to absence
-                    // -- so replica digests reflect the rollback.
-                    if (d.stamp != 0)
-                        byHash_[hash] =
-                            HashState{key, d.stamp, false};
-                    else
-                        byHash_.erase(hash);
-                }
+                // Roll back to the snapshot: the last durable value,
+                // the prior tombstone, or absence -- the repair
+                // index follows, so replica digests reflect it.
+                rec.memtable.reset();
+                liveBytes_ -= rec.cur.valueLen;
+                rec.cur = rec.snap;
+                if (rec.cur.presence == Presence::Live)
+                    liveBytes_ += rec.cur.valueLen;
             }
-            if (last_inflight)
-                durable_.erase(key);
+            retire(it);
             done(KvStatus::Error);
             return;
         }
-        if (last_inflight) {
-            durable_.erase(key);
-        } else {
-            // Durable: remember this version as the rollback target
-            // for the rest of the in-flight chain. Appends to one
-            // log complete in issue order, but a delete's tombstone
-            // is applied instantly, so only ever advance.
-            Durable &d = durable_.at(key);
-            if (version > d.version) {
-                d.valueOffset = value_offset;
-                d.valueLen = len;
-                d.version = version;
-                d.stamp = stamp;
-                d.live = true;
-            }
-        }
+        // Durable: remember this version as the rollback target for
+        // the rest of the in-flight chain. Appends to one log
+        // complete in issue order, but a delete's tombstone is
+        // applied instantly, so only ever advance.
+        if (rec.inflight > 0 && version > rec.snap.version)
+            rec.snap = Slot{value_offset, version, stamp, len,
+                            Presence::Live};
         // Durable, so the version it superseded is now safely dead
         // (no failure can roll back to it any more). A put whose
         // key was deleted while the append was in flight is dead on
@@ -247,12 +236,13 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
             markDead(fileFor(key),
                      prev_offset - recordHeaderBytes,
                      std::uint64_t(prev_len) + recordHeaderBytes);
-        if (it == index_.end())
+        if (!live)
             markDead(fileFor(key),
                      value_offset - recordHeaderBytes,
                      std::uint64_t(len) + recordHeaderBytes);
         if (current)
-            memtable_.erase(key); // no newer in-flight version
+            rec.memtable.reset(); // no newer in-flight version
+        retire(it);
         done(KvStatus::Ok);
     },
                pri, trace);
@@ -271,8 +261,9 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
                     std::uint64_t trace)
 {
     gets_.inc();
-    auto it = index_.find(key);
-    if (it == index_.end()) {
+    auto it = records_.find(key);
+    if (it == records_.end() ||
+        it->second.cur.presence != Presence::Live) {
         misses_.inc();
         sim_.scheduleAfter(0, [alive = alive_,
                                done = std::move(done)]() {
@@ -282,7 +273,8 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         });
         return;
     }
-    std::uint64_t version = it->second.version;
+    const KeyRecord &r = it->second;
+    std::uint64_t version = r.cur.version;
     if (cached_version != 0 && version == cached_version) {
         // The requester's cached copy is current: an O(1) index
         // probe is the whole cost -- no memtable copy, no flash
@@ -297,11 +289,10 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         });
         return;
     }
-    auto mem = memtable_.find(key);
-    if (mem != memtable_.end()) {
+    if (r.memtable) {
         memtableHits_.inc();
         sim_.tracer().mark(trace, "shard.memtable", sim_.now());
-        PageBuffer value = mem->second; // copy: append still owns it
+        PageBuffer value = *r.memtable; // copy: append still owns it
         sim_.scheduleAfter(0, [alive = alive_, version,
                                value = std::move(value),
                                done = std::move(done)]() mutable {
@@ -321,8 +312,7 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         return;
     }
     reads_[version].waiters.push_back(std::move(done));
-    fs_.read(fileFor(key), it->second.valueOffset,
-             it->second.valueLen,
+    fs_.read(fileFor(key), r.cur.valueOffset, r.cur.valueLen,
              [this, alive = alive_, key,
               version](std::vector<std::uint8_t> data, bool ok) {
         if (!*alive)
@@ -338,11 +328,15 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
             // is still the live version, flag it in the repair
             // index: digests now differ from the healthy replica
             // even at equal stamps, and an equal-stamp repair push
-            // is allowed through to heal it (see HashState).
-            auto iit = index_.find(key);
-            if (iit != index_.end() &&
-                iit->second.version == version)
-                markCorrupt(key);
+            // is allowed through to heal it (see KeyRecord).
+            auto kit = records_.find(key);
+            if (kit != records_.end() &&
+                kit->second.cur.presence == Presence::Live &&
+                kit->second.cur.version == version &&
+                !kit->second.corrupt) {
+                kit->second.corrupt = true;
+                corruptKeys_.inc();
+            }
         }
         for (std::size_t i = 0; i + 1 < waiters.size(); ++i)
             waiters[i](data, st, version); // copy for all but last
@@ -355,45 +349,39 @@ void
 KvShard::del(Key key, std::uint64_t stamp, AckDone done)
 {
     deletes_.inc();
-    auto it = index_.find(key);
+    // Record the tombstone even for a miss: a delete that reached
+    // only some replicas of a (divergent) key must leave matching
+    // repair-index state everywhere it DID arrive, or anti-entropy
+    // would re-detect the difference on every sweep.
+    KeyRecord &r = recordFor(key);
     KvStatus st = KvStatus::NotFound;
-    if (it != index_.end()) {
-        liveBytes_ -= it->second.valueLen;
-        // Tombstone at a fresh version while appends are in
-        // flight: a pending older append that completes (or fails)
-        // after this delete must neither reinstate nor roll back
-        // to a resurrected value. With nothing in flight there is
-        // nothing to guard.
-        auto d = durable_.find(key);
-        if (d != durable_.end()) {
-            d->second.version = ++nextVersion_;
-            d->second.stamp = stamp;
-            d->second.live = false;
+    if (r.cur.presence == Presence::Live) {
+        liveBytes_ -= r.cur.valueLen;
+        if (r.inflight > 0) {
+            // Tombstone at a fresh version while appends are in
+            // flight: a pending older append that completes (or
+            // fails) after this delete must neither reinstate nor
+            // roll back to a resurrected value.
+            r.snap.version = ++nextVersion_;
+            r.snap.stamp = stamp;
+            r.snap.presence = Presence::Tombstone;
         } else {
             // Quiescent key: its record is durable and now dead --
             // charge it to its log pages for reclamation. (With a
             // chain in flight the completions do the accounting;
             // see put().)
             markDead(fileFor(key),
-                     it->second.valueOffset - recordHeaderBytes,
-                     std::uint64_t(it->second.valueLen) +
+                     r.cur.valueOffset - recordHeaderBytes,
+                     std::uint64_t(r.cur.valueLen) +
                          recordHeaderBytes);
         }
-        index_.erase(it);
-        memtable_.erase(key);
+        r.memtable.reset();
         st = KvStatus::Ok;
     }
-    // Record the tombstone even for a miss: a delete that reached
-    // only some replicas of a (divergent) key must leave matching
-    // repair-index state everywhere it DID arrive, or anti-entropy
-    // would re-detect the difference on every sweep.
-    byHash_[mix64(key)] = HashState{key, stamp, false};
-    sim_.scheduleAfter(0, [alive = alive_, st,
-                           done = std::move(done)]() {
-        if (!*alive)
-            return;
-        done(st);
-    });
+    r.cur.presence = Presence::Tombstone;
+    r.cur.stamp = stamp;
+    r.corrupt = false;
+    ackLater(std::move(done), st);
 }
 
 std::uint64_t
@@ -404,16 +392,19 @@ KvShard::rangeDigest(std::uint64_t lo, std::uint64_t hi) const
     std::uint64_t digest = 0;
     for (auto it = byHash_.lower_bound(lo);
          it != byHash_.end() && it->first <= hi; ++it) {
-        const HashState &hs = it->second;
+        const KeyRecord &r = it->second->second;
+        if (r.cur.presence == Presence::Absent)
+            continue;
         // Order-independent fold of (key, stamp, liveness,
         // corruption). Corruption is folded in so a replica whose
         // copy rotted at the SAME stamp as its healthy peer still
         // produces a differing digest -- otherwise the sweep would
         // skip the range and the corrupt key could never heal.
+        bool live = r.cur.presence == Presence::Live;
         digest ^= mix64(it->first ^
-                        mix64(hs.stamp * 0x9e3779b97f4a7c15ull +
-                              (hs.live ? 1 : 2) +
-                              (hs.corrupt ? 2 : 0)));
+                        mix64(r.cur.stamp * 0x9e3779b97f4a7c15ull +
+                              (live ? 1 : 2) +
+                              (r.corrupt ? 2 : 0)));
     }
     return digest;
 }
@@ -426,10 +417,17 @@ KvShard::pruneTombstones(std::uint64_t lo, std::uint64_t hi,
         return;
     auto it = byHash_.lower_bound(lo);
     while (it != byHash_.end() && it->first <= hi) {
-        if (!it->second.live && it->second.stamp < below)
-            it = byHash_.erase(it);
-        else
-            ++it;
+        auto &[key, r] = *it->second;
+        if (r.cur.presence == Presence::Tombstone &&
+            r.cur.stamp < below) {
+            r.cur.presence = Presence::Absent;
+            if (r.inflight == 0) {
+                records_.erase(key);
+                it = byHash_.erase(it);
+                continue;
+            }
+        }
+        ++it;
     }
 }
 
@@ -440,30 +438,26 @@ KvShard::rangeEntries(std::uint64_t lo, std::uint64_t hi,
     if (lo > hi)
         return;
     for (auto it = byHash_.lower_bound(lo);
-         it != byHash_.end() && it->first <= hi; ++it)
-        out.push_back(RangeEntry{it->second.key, it->second.stamp,
-                                 it->second.live,
-                                 it->second.corrupt});
+         it != byHash_.end() && it->first <= hi; ++it) {
+        const auto &[key, r] = *it->second;
+        if (r.cur.presence != Presence::Absent)
+            out.push_back(RangeEntry{
+                key, r.cur.stamp, r.cur.presence == Presence::Live,
+                r.corrupt});
+    }
 }
 
 void
 KvShard::repairPut(Key key, PageBuffer value, std::uint64_t stamp,
                    AckDone done)
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit != byHash_.end() && !hit->second.corrupt &&
-        hit->second.stamp >= stamp) {
+    if (covers(key, stamp)) {
         // The shard caught up on its own (a newer write landed, or
         // an earlier repair already applied): nothing to push. A
         // CORRUPT local copy never blocks the push, whatever its
         // stamp: its bytes are gone, so a replica's equal-stamp
         // (or even older) copy is strictly better than garbage.
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Ok);
-        });
+        ackLater(std::move(done), KvStatus::Ok);
         return;
     }
     // Count only on success: a failed append rolls back and acks
@@ -482,15 +476,8 @@ KvShard::repairPut(Key key, PageBuffer value, std::uint64_t stamp,
 void
 KvShard::repairDel(Key key, std::uint64_t stamp, AckDone done)
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit != byHash_.end() && !hit->second.corrupt &&
-        hit->second.stamp >= stamp) {
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Ok);
-        });
+    if (covers(key, stamp)) {
+        ackLater(std::move(done), KvStatus::Ok);
         return;
     }
     // del applies the tombstone unconditionally (NotFound just
@@ -503,34 +490,49 @@ bool
 KvShard::keyState(Key key, std::uint64_t *stamp, bool *live,
                   bool *corrupt) const
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit == byHash_.end())
+    auto it = records_.find(key);
+    if (it == records_.end() ||
+        it->second.cur.presence == Presence::Absent)
         return false;
-    *stamp = hit->second.stamp;
-    *live = hit->second.live;
+    *stamp = it->second.cur.stamp;
+    *live = it->second.cur.presence == Presence::Live;
     if (corrupt != nullptr)
-        *corrupt = hit->second.corrupt;
+        *corrupt = it->second.corrupt;
     return true;
 }
 
-void
-KvShard::markCorrupt(Key key)
+bool
+KvShard::contains(Key key) const
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit == byHash_.end() || !hit->second.live ||
-        hit->second.corrupt)
-        return;
-    hit->second.corrupt = true;
-    corruptKeys_.inc();
+    auto it = records_.find(key);
+    return it != records_.end() &&
+           it->second.cur.presence == Presence::Live;
+}
+
+std::size_t
+KvShard::keyCount() const
+{
+    std::size_t n = 0;
+    for (const auto &[key, r] : records_)
+        n += r.cur.presence == Presence::Live;
+    return n;
+}
+
+std::size_t
+KvShard::repairIndexSize() const
+{
+    std::size_t n = 0;
+    for (const auto &[key, r] : records_)
+        n += r.cur.presence != Presence::Absent;
+    return n;
 }
 
 std::size_t
 KvShard::corruptKeyCount() const
 {
     std::size_t n = 0;
-    for (const auto &kv : byHash_)
-        if (kv.second.corrupt)
-            ++n;
+    for (const auto &[key, r] : records_)
+        n += r.corrupt;
     return n;
 }
 

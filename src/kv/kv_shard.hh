@@ -3,41 +3,51 @@
  * Per-node key-value shard: a log-structured value store over the
  * node's flash file system.
  *
- * Values are appended to one shard log file in fs::LogFs (which
+ * Values are appended to the shard's log files in fs::LogFs (which
  * stripes pages across the card's buses and garbage-collects
- * blocks); the shard keeps the key -> byte-range index in host
- * memory, exactly as the paper's RFS keeps file metadata in memory
- * (section 4). A small write-back memtable holds values whose log
- * append is still in flight so that reads are always
- * read-your-writes without waiting for NAND program latency --
- * the same role as the paper's host-side page buffers.
+ * blocks); the shard keeps each key's state in host memory, exactly
+ * as the paper's RFS keeps file metadata in memory (section 4).
  *
- * Failure semantics: the index only ever points at durable log
- * records. While an append is in flight its value is served from
- * the memtable; if the append fails, the shard rolls the key back
- * to its last durable version (or absence when there is none), the
- * memtable entry is discarded, and the put acks KvStatus::Error.
- * A failed append is therefore never later served as Ok with bytes
- * that did not reach flash. A get issued during the doomed window
- * returns the in-flight value (ordinary read-your-writes of a
- * write that subsequently fails).
+ * One record per key (KeyRecord) holds all of that state: the
+ * current log range, version and stamp; whether the key is live, a
+ * tombstone or corrupt; how many of its appends are in flight; the
+ * rollback snapshot; and the memtable value. A put, its completion,
+ * a get and a repair decision each cost one record lookup. A second
+ * index orders the same records by mix64(key) for the anti-entropy
+ * range queries; it changes only when a record is created or
+ * erased.
+ *
+ * Write-back memtable: while a key's newest append is in flight its
+ * record keeps the value, so reads are always read-your-writes
+ * without waiting for NAND program latency -- the same role as the
+ * paper's host-side page buffers.
+ *
+ * Failure semantics: the log range a record serves from is always
+ * durable or memtable-backed. If an append fails, the shard rolls
+ * the key back to the record's snapshot of its last durable state
+ * (a value, a tombstone, or absence), drops the memtable value, and
+ * acks the put KvStatus::Error. A failed append is therefore never
+ * later served as Ok with bytes that did not reach flash. A get
+ * issued during the doomed window returns the in-flight value
+ * (ordinary read-your-writes of a write that subsequently fails).
  *
  * Hot-key reads: every get result carries the entry's shard-global
  * version, so requesters can cache (value, version) pairs and
  * revalidate with getIfNewer() -- a version match costs one O(1)
- * index probe, no flash read, no value bytes. Duplicate in-flight
+ * record probe, no flash read, no value bytes. Duplicate in-flight
  * gets on the same key coalesce onto one LogFs read.
  *
  * Anti-entropy support: shard versions are local counters and not
  * comparable across replicas, so every write additionally carries a
- * router-issued cluster-wide *stamp*. The shard keeps a hash-ordered
- * side index of (key, stamp, live/tombstone) -- mix64 is a bijection,
- * so one map entry per key -- from which it answers cheap per-range
- * digests (rangeDigest) and enumerations (rangeEntries). The repair
- * sweep compares digests between replicas and pushes the newer-
- * stamped side across with repairPut()/repairDel(), which apply only
- * when their stamp is strictly newer than everything the shard knows
- * for the key, making repair idempotent and race-tolerant.
+ * router-issued cluster-wide *stamp*. Records keep (stamp,
+ * live/tombstone, corrupt) for live keys and retained tombstones,
+ * and the hash-ordered index answers cheap per-range digests
+ * (rangeDigest) and enumerations (rangeEntries) over them. The
+ * repair sweep compares digests between replicas and pushes the
+ * newer-stamped side across with repairPut()/repairDel(), which
+ * apply only when their stamp is strictly newer than everything the
+ * shard knows for the key, making repair idempotent and
+ * race-tolerant.
  *
  * This is the storage half of the figure 17 scenario: every value
  * lives in flash, none are assumed cached in DRAM, and a get costs
@@ -51,6 +61,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -238,8 +249,9 @@ class KvShard
     void pruneTombstones(std::uint64_t lo, std::uint64_t hi,
                          std::uint64_t below);
 
-    /** Live keys + retained tombstones in the repair index. */
-    std::size_t repairIndexSize() const { return byHash_.size(); }
+    /** Live keys + retained tombstones in the repair index (walks
+     * the records). */
+    std::size_t repairIndexSize() const;
 
     /**
      * Repair-index state of @p key (stamp, liveness, corruption);
@@ -254,10 +266,10 @@ class KvShard
     ///@}
 
     /** Whether a live version of @p key exists. */
-    [[nodiscard]] bool contains(Key key) const { return index_.count(key) != 0; }
+    [[nodiscard]] bool contains(Key key) const;
 
-    /** Number of live keys. */
-    std::size_t keyCount() const { return index_.size(); }
+    /** Number of live keys (walks the records). */
+    std::size_t keyCount() const;
 
     /** Bytes of live values (excludes dead log versions). */
     std::uint64_t liveBytes() const { return liveBytes_; }
@@ -298,55 +310,88 @@ class KvShard
     /** Per-record log header: key + value length. */
     static constexpr std::uint32_t recordHeaderBytes = 12;
 
-    struct Entry
+    /** Where a key stands in the repair index. */
+    enum class Presence : std::uint8_t
+    {
+        /** Not indexed. The record exists only because appends of
+         * the key are still in flight (a rolled-back first put, or
+         * a tombstone pruned under a pending append). */
+        Absent,
+        Live,
+        /** Deleted; the stamp orders the delete for anti-entropy. */
+        Tombstone,
+    };
+
+    /** One state of a key: its log range when live, else only the
+     * tombstone's stamp. */
+    struct Slot
     {
         std::uint64_t valueOffset = 0; //!< byte offset in the log
-        std::uint32_t valueLen = 0;
         /** Shard-global monotonic version; gates memtable
-         * retirement and read-cache validation (0 = freshly
-         * default-constructed). */
+         * retirement and read-cache validation. */
         std::uint64_t version = 0;
         /** Cluster-wide write stamp (anti-entropy ordering). */
         std::uint64_t stamp = 0;
+        std::uint32_t valueLen = 0;
+        Presence presence = Presence::Absent;
     };
 
     /**
-     * Last known-durable state of a key: the rollback target when
-     * a newer append fails. live=false records a tombstone (the
-     * key was deleted at that version) so a failed re-put cannot
-     * resurrect an older value.
+     * Everything the shard knows about one key. A record lives while
+     * its key is live, a retained tombstone, or has an append in
+     * flight; one lookup serves a put, its completion, a get or a
+     * repair decision.
      */
-    struct Durable
+    struct KeyRecord
     {
-        std::uint64_t valueOffset = 0;
-        std::uint32_t valueLen = 0;
-        std::uint64_t version = 0;
-        std::uint64_t stamp = 0;
-        bool live = false;
-    };
-
-    /** Value of the hash-ordered repair index (see byHash_). */
-    struct HashState
-    {
-        Key key = 0;
-        std::uint64_t stamp = 0;
-        bool live = false;
+        /** The optimistic state: updated at issue time, so reads,
+         * digests and repair decisions see in-flight writes. */
+        Slot cur;
+        /**
+         * Rollback target when an append fails: the last durable
+         * state. Taken from cur when the first append of an
+         * in-flight chain starts, advanced by each landing append,
+         * and valid only while inflight > 0. A delete turns it into
+         * a tombstone so a failed re-put cannot resurrect an older
+         * value.
+         */
+        Slot snap;
+        /** Appends of this key still in flight. */
+        unsigned inflight = 0;
         /**
          * The key's durable flash copy came back uncorrectable: the
          * stamp still describes WHICH write the shard holds, but
          * the bytes are gone. Folded into rangeDigest (so the sweep
          * detects equal-stamp corruption) and honored by repairPut
          * (an equal-stamp push heals instead of no-oping). Cleared
-         * by any successful write of the key.
+         * by any write of the key.
          */
         bool corrupt = false;
+        /** Memtable entry: the value of cur while its append is in
+         * flight (reads are served from here, not from flash). */
+        std::optional<flash::PageBuffer> memtable;
     };
+    using Records = std::unordered_map<Key, KeyRecord>;
 
     /** Waiters coalesced onto one in-flight flash read. */
     struct ReadGroup
     {
         std::vector<GetDone> waiters;
     };
+
+    /** @p key's record, created (and hash-indexed) when missing. */
+    KeyRecord &recordFor(Key key);
+
+    /** Erase @p it's record once nothing needs it any more: the key
+     * is neither indexed nor has an append in flight. */
+    void retire(Records::iterator it);
+
+    /** Whether a repair push at @p stamp is redundant: the shard
+     * already indexes a healthy state of @p key at or past it. */
+    [[nodiscard]] bool covers(Key key, std::uint64_t stamp) const;
+
+    /** Deliver @p st to @p done from a fresh event. */
+    void ackLater(AckDone done, KvStatus st);
 
     /**
      * Account @p len bytes at @p offset of @p log as dead (their
@@ -359,10 +404,6 @@ class KvShard
      */
     void markDead(const std::string &log, std::uint64_t offset,
                   std::uint64_t len);
-
-    /** Mark @p key's repair-index entry corrupt (durable copy read
-     * back uncorrectable) so the anti-entropy machinery heals it. */
-    void markCorrupt(Key key);
 
     /** Log file of @p key: stripes decorrelate from the routing
      * ring by using different mix64 bits. */
@@ -382,26 +423,19 @@ class KvShard
      * completion callbacks into the (equally dead) owner. */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-    std::unordered_map<Key, Entry> index_;
-    /** Values whose append has not completed yet, newest version. */
-    std::unordered_map<Key, flash::PageBuffer> memtable_;
-    /** Rollback targets; an entry exists only while the key has
-     * appends in flight (see Durable). */
-    std::unordered_map<Key, Durable> durable_;
-    /** In-flight appends per key: gates durable_ lifetime. */
-    std::unordered_map<Key, unsigned> inflightPuts_;
+    /** Every key the shard holds state for (see KeyRecord). */
+    Records records_;
+    /**
+     * The same records in mix64(key) order, so rangeDigest /
+     * rangeEntries / pruneTombstones answer ring-segment queries in
+     * O(log n + range). mix64 is a bijection, so one entry per key;
+     * it changes only when a record is created or erased.
+     */
+    std::map<std::uint64_t, Records::value_type *> byHash_;
     /** In-flight flash reads, keyed by the entry version they
      * serve (shard-global versions are never reused, so a version
      * pins both the key and the byte range). */
     std::unordered_map<std::uint64_t, ReadGroup> reads_;
-    /**
-     * Hash-ordered repair index: mix64(key) -> (key, stamp, live).
-     * Mirrors the *optimistic* state (updated with index_, including
-     * in-flight writes and rollbacks) and additionally holds
-     * tombstones, which index_ drops. Ordered so rangeDigest /
-     * rangeEntries answer ring-segment queries in O(log n + range).
-     */
-    std::map<std::uint64_t, HashState> byHash_;
     std::uint64_t nextVersion_ = 0;
     /** Stamp source for the stampless put/del overloads. */
     std::uint64_t fallbackStamp_ = 0;
