@@ -153,20 +153,13 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
     // target for the in-flight chain this put starts.
     if (r.inflight++ == 0)
         r.snap = r.cur;
-    // Record the version this put supersedes: when THIS append
-    // becomes durable the superseded record's bytes are dead and
-    // get charged to their log pages (see markDead). Deferred to
-    // the completion so a failed append's rollback never finds its
-    // restore target already trimmed.
-    bool prev_live = r.cur.presence == Presence::Live;
-    std::uint64_t prev_offset = r.cur.valueOffset;
-    std::uint32_t prev_len = r.cur.valueLen;
-    if (prev_live)
-        liveBytes_ -= prev_len; // overwrite: old version is dead
+    if (r.cur.presence == Presence::Live)
+        liveBytes_ -= r.cur.valueLen; // overwrite: old version is dead
     // Shard-global version: a delete + re-put must never collide
     // with a still-in-flight append of the key's previous life.
-    std::uint64_t version = ++nextVersion_;
-    r.cur = Slot{value_offset, version, stamp, len, Presence::Live};
+    Slot mine{value_offset, ++nextVersion_, stamp, len,
+              Presence::Live};
+    r.cur = mine;
     r.corrupt = false;
     liveBytes_ += len;
     logBytes_ += record_bytes;
@@ -176,40 +169,27 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
     r.memtable = std::move(value);
 
     fs_.append(log, std::move(record),
-               [this, alive = alive_, key, version, stamp,
-                value_offset, len, record_bytes, prev_live,
-                prev_offset, prev_len,
+               [this, alive = alive_, key, mine,
                 done = std::move(done)](bool ok) {
         if (!*alive)
             return; // shard (and its owner) died mid-append
         // The in-flight count keeps the record alive until here.
         auto it = records_.find(key);
         KeyRecord &rec = it->second;
-        bool live = rec.cur.presence == Presence::Live;
-        bool current = live && rec.cur.version == version;
+        bool current = rec.cur.presence == Presence::Live &&
+                       rec.cur.version == mine.version;
         --rec.inflight;
         if (!ok) {
-            // The record never became durable: charge it off and,
-            // if no newer operation superseded this one, roll the
-            // key back to its last durable version so a later get
-            // can never serve never-written flash bytes as Ok.
+            // The record never became durable: its range is garbage
+            // forever (log offsets are never reused). If no newer
+            // operation superseded it, roll the key back to its last
+            // durable state so a later get can never serve
+            // never-written flash bytes as Ok; the repair index
+            // follows, so replica digests reflect the rollback.
             failedPuts_.inc();
-            logBytes_ -= record_bytes;
-            // The failed record's byte range is garbage forever
-            // (log offsets are never reused): account it as dead.
-            // Only when no NEWER put is in flight, though -- a
-            // newer put captured this range as ITS superseded
-            // predecessor and will account it on its own
-            // completion; marking twice could trim a page whose
-            // dead-byte count was double-charged.
-            if (current || !live)
-                markDead(fileFor(key),
-                         value_offset - recordHeaderBytes,
-                         std::uint64_t(len) + recordHeaderBytes);
+            logBytes_ -= mine.valueLen + recordHeaderBytes;
+            markDead(key, mine);
             if (current) {
-                // Roll back to the snapshot: the last durable value,
-                // the prior tombstone, or absence -- the repair
-                // index follows, so replica digests reflect it.
                 rec.memtable.reset();
                 liveBytes_ -= rec.cur.valueLen;
                 rec.cur = rec.snap;
@@ -220,26 +200,19 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
             done(KvStatus::Error);
             return;
         }
-        // Durable: remember this version as the rollback target for
-        // the rest of the in-flight chain. Appends to one log
-        // complete in issue order, but a delete's tombstone is
-        // applied instantly, so only ever advance.
-        if (rec.inflight > 0 && version > rec.snap.version)
-            rec.snap = Slot{value_offset, version, stamp, len,
-                            Presence::Live};
-        // Durable, so the version it superseded is now safely dead
-        // (no failure can roll back to it any more). A put whose
-        // key was deleted while the append was in flight is dead on
-        // arrival: its own bytes are accounted too (the delete
-        // skipped them precisely because this append was pending).
-        if (prev_live)
-            markDead(fileFor(key),
-                     prev_offset - recordHeaderBytes,
-                     std::uint64_t(prev_len) + recordHeaderBytes);
-        if (!live)
-            markDead(fileFor(key),
-                     value_offset - recordHeaderBytes,
-                     std::uint64_t(len) + recordHeaderBytes);
+        if (mine.version > rec.snap.version) {
+            // Durable and newer than the rollback target: nothing
+            // can roll back to the target any more, so its record
+            // is dead, and this one takes its place. Appends to one
+            // log complete in issue order, so this is the newest
+            // durable state.
+            markDead(key, rec.snap);
+            rec.snap = mine;
+        } else {
+            // A delete superseded this append while it was in
+            // flight: dead on arrival.
+            markDead(key, mine);
+        }
         if (current)
             rec.memtable.reset(); // no newer in-flight version
         retire(it);
@@ -358,22 +331,17 @@ KvShard::del(Key key, std::uint64_t stamp, AckDone done)
     if (r.cur.presence == Presence::Live) {
         liveBytes_ -= r.cur.valueLen;
         if (r.inflight > 0) {
-            // Tombstone at a fresh version while appends are in
-            // flight: a pending older append that completes (or
-            // fails) after this delete must neither reinstate nor
-            // roll back to a resurrected value.
-            r.snap.version = ++nextVersion_;
-            r.snap.stamp = stamp;
-            r.snap.presence = Presence::Tombstone;
+            // Appends are in flight: the durable record they would
+            // replace is dead now, and the rollback target becomes a
+            // tombstone at a fresh version, so a pending older append
+            // that completes (or fails) after this delete neither
+            // reinstates nor rolls back to a resurrected value.
+            markDead(key, r.snap);
+            r.snap = Slot{0, ++nextVersion_, stamp, 0,
+                          Presence::Tombstone};
         } else {
-            // Quiescent key: its record is durable and now dead --
-            // charge it to its log pages for reclamation. (With a
-            // chain in flight the completions do the accounting;
-            // see put().)
-            markDead(fileFor(key),
-                     r.cur.valueOffset - recordHeaderBytes,
-                     std::uint64_t(r.cur.valueLen) +
-                         recordHeaderBytes);
+            // Quiescent key: its record is durable and now dead.
+            markDead(key, r.cur);
         }
         r.memtable.reset();
         st = KvStatus::Ok;
@@ -537,11 +505,13 @@ KvShard::corruptKeyCount() const
 }
 
 void
-KvShard::markDead(const std::string &log, std::uint64_t offset,
-                  std::uint64_t len)
+KvShard::markDead(Key key, const Slot &slot)
 {
-    if (len == 0)
+    if (slot.presence != Presence::Live)
         return;
+    const std::uint64_t offset = slot.valueOffset - recordHeaderBytes;
+    const std::uint64_t len = slot.valueLen + recordHeaderBytes;
+    const std::string &log = fileFor(key);
     const std::uint32_t psz = fs_.pageSize();
     auto &pages = deadBytes_[log];
     std::uint64_t first = offset / psz;

@@ -350,10 +350,11 @@ class KvShard
         /**
          * Rollback target when an append fails: the last durable
          * state. Taken from cur when the first append of an
-         * in-flight chain starts, advanced by each landing append,
-         * and valid only while inflight > 0. A delete turns it into
-         * a tombstone so a failed re-put cannot resurrect an older
-         * value.
+         * in-flight chain starts, replaced by each newer landing
+         * append, and valid only while inflight > 0. A delete turns
+         * it into a tombstone so a failed re-put cannot resurrect
+         * an older value. It also drives the dead-byte rule (see
+         * markDead).
          */
         Slot snap;
         /** Appends of this key still in flight. */
@@ -394,16 +395,25 @@ class KvShard
     void ackLater(AckDone done, KvStatus st);
 
     /**
-     * Account @p len bytes at @p offset of @p log as dead (their
-     * record was superseded, deleted, or rolled back) and trim any
-     * log page that became fully dead, releasing its physical flash
-     * page to the cleaner. Called only for byte ranges whose pages
-     * have already been programmed at least once (durable records,
-     * or failed appends after their program completions), so the
-     * trim never races an unmapped in-flight page.
+     * Account the log record of @p slot (a no-op unless it is Live)
+     * as dead and trim any page of @p key's log that became fully
+     * dead, releasing its physical flash page to the cleaner.
+     *
+     * Every record dies exactly once, by this rule over the record's
+     * snapshot:
+     * - a landing append newer than the snapshot kills the
+     *   snapshot's record and becomes the snapshot;
+     * - a landing append older than the snapshot (a delete
+     *   superseded it in flight) kills its own record;
+     * - a failed append kills its own record;
+     * - a delete kills the record it removes: the current one when
+     *   no append is in flight, else the live snapshot's, at once.
+     *
+     * Only durable records or failed appends after their program
+     * completions die, so a trim never races an in-flight program
+     * of an unmapped page.
      */
-    void markDead(const std::string &log, std::uint64_t offset,
-                  std::uint64_t len);
+    void markDead(Key key, const Slot &slot);
 
     /** Log file of @p key: stripes decorrelate from the routing
      * ring by using different mix64 bits. */

@@ -651,6 +651,101 @@ TEST(KvShard, DeleteTombstoneBlocksRollbackResurrection)
 }
 
 // ---------------------------------------------------------------- //
+// Dead-byte accounting: every dead log page is trimmed
+// ---------------------------------------------------------------- //
+
+namespace {
+
+/** A value whose log record (header included) spans @p fraction
+ * of a page, so records of one key pack pages exactly. */
+PageBuffer
+pageValue(fs::LogFs &fs, std::uint8_t fill, unsigned fraction = 1)
+{
+    return val(fill, fs.pageSize() / fraction - 12);
+}
+
+} // namespace
+
+TEST(KvShard, DeleteDuringFailedAppendTrimsDurablePage)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(2));
+    fs::LogFs &fs = cluster.node(0).fs();
+    kv::KvShard shard(sim, fs, "t");
+
+    shard.put(1, pageValue(fs, 0xaa), [](KvStatus) {});
+    sim.run();
+
+    // The overwrite is in flight when the delete lands, then fails:
+    // the durable record it would have replaced is as dead as after
+    // a quiescent delete, and its page must be trimmed.
+    armWriteFault(cluster, 0);
+    KvStatus put_st = KvStatus::Ok;
+    shard.put(1, pageValue(fs, 0xbb), [&](KvStatus s) { put_st = s; });
+    shard.del(1, [](KvStatus) {});
+    sim.run();
+    EXPECT_EQ(put_st, KvStatus::Error);
+    EXPECT_FALSE(shard.contains(1));
+    EXPECT_EQ(fs.trimmedPages(), 1u);
+}
+
+TEST(KvShard, AppendSupersededByDeleteIsCharged)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(2));
+    fs::LogFs &fs = cluster.node(0).fs();
+    kv::KvShard shard(sim, fs, "t");
+
+    shard.put(1, pageValue(fs, 0x01), [](KvStatus) {});
+    sim.run();
+    // Put A is in flight when the key is deleted and re-put as C:
+    // A lands dead on arrival. With C deleted too, all three pages
+    // hold only dead records.
+    shard.put(1, pageValue(fs, 0x0a), [](KvStatus) {});
+    shard.del(1, [](KvStatus) {});
+    shard.put(1, pageValue(fs, 0x0c), [](KvStatus) {});
+    sim.run();
+    shard.del(1, [](KvStatus) {});
+    sim.run();
+    EXPECT_EQ(shard.liveBytes(), 0u);
+    EXPECT_EQ(fs.trimmedPages(), 3u);
+}
+
+TEST(KvShard, TwoFailedAppendsAreBothCharged)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(2));
+    fs::LogFs &fs = cluster.node(0).fs();
+    kv::KvShard shard(sim, fs, "t");
+
+    // Half-page records: X fills the front of page 0.
+    shard.put(1, pageValue(fs, 0x01, 2), [](KvStatus) {});
+    sim.run();
+    // A (back of page 0) and B (front of page 1) both fail; the key
+    // rolls back to X.
+    armWriteFault(cluster, 0);
+    shard.put(1, pageValue(fs, 0x0a, 2), [](KvStatus) {});
+    shard.put(1, pageValue(fs, 0x0b, 2), [](KvStatus) {});
+    sim.run();
+    EXPECT_EQ(shard.failedPuts(), 2u);
+    // C (back of page 1) then D (front of page 2) land: C kills X,
+    // D kills C. Pages 0 (X + A) and 1 (B + C) are fully dead.
+    disarmWriteFault(cluster, 0);
+    shard.put(1, pageValue(fs, 0x0c, 2), [](KvStatus) {});
+    sim.run();
+    shard.put(1, pageValue(fs, 0x0d, 2), [](KvStatus) {});
+    sim.run();
+    EXPECT_EQ(fs.trimmedPages(), 2u);
+
+    PageBuffer got;
+    shard.get(1, [&](PageBuffer v, KvStatus, std::uint64_t) {
+        got = std::move(v);
+    });
+    sim.run();
+    EXPECT_EQ(got, pageValue(fs, 0x0d, 2));
+}
+
+// ---------------------------------------------------------------- //
 // KvShard against a reference model
 // ---------------------------------------------------------------- //
 
