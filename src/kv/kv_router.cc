@@ -82,12 +82,9 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
     for (unsigned n = active; n < cluster_.size(); ++n)
         members_[n].state = MemberState::Standby;
 
-    if (params_.logStripes == 0)
-        sim::fatal("shard log needs >= 1 stripe");
     for (unsigned n = 0; n < cluster_.size(); ++n) {
         shards_.emplace_back(std::make_unique<KvShard>(
-            sim_, cluster_.node(n).fs(), params_.shardLog,
-            params_.logStripes));
+            sim_, cluster_.node(n).fs(), params_.shardLog));
         if (params_.cacheSlots > 0) {
             KvCache::Params cp;
             cp.slots = params_.cacheSlots;

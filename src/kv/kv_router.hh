@@ -99,21 +99,6 @@ struct KvParams
     unsigned vnodes = 64;
     /** Shard log file name (one per node's file system). */
     std::string shardLog = "kv.shard.log";
-    /**
-     * Independent append chains per shard (KvShard stripes). One
-     * log file serializes a node's puts behind a single tail page
-     * (one program in flight at a time); striping multiplies the
-     * per-node write ceiling and feeds the flash server's
-     * program-coalescing stage when stripes land on one bus. The
-     * hot-shard write backlog under quorum acks is exactly what
-     * this bounds: stragglers drain at S chains, not one. More
-     * stripes also dilute group-commit amortization (fewer puts
-     * absorbed per tail-page program, so more chip-busy program
-     * windows stalling reads); the default is the empirical sweet
-     * spot of the 20-node serving bench, where both the write p99
-     * and throughput targets clear with margin.
-     */
-    unsigned logStripes = 5;
     /** Hot-key cache slots per node (0 disables the cache). */
     unsigned cacheSlots = 128;
     /** Sketch estimate required before a key may occupy a cache

@@ -23,7 +23,7 @@ cell(sim::Simulator &sim, unsigned inst, const char *name)
 } // namespace
 
 KvShard::KvShard(sim::Simulator &sim, fs::LogFs &fs,
-                 std::string log_name, unsigned stripes)
+                 const std::string &log_name)
     : sim_(sim), fs_(fs),
       inst_(sim.metrics().nextInstance("shard")),
       gets_(cell(sim, inst_, "kv.shard.gets")),
@@ -50,19 +50,11 @@ KvShard::KvShard(sim::Simulator &sim, fs::LogFs &fs,
         [this, alive = alive_]() {
         return *alive ? static_cast<double>(logBytes_) : 0.0;
     });
-    if (stripes == 0)
-        sim::fatal("shard log needs >= 1 stripe");
-    if (stripes == 1) {
-        logNames_.push_back(std::move(log_name));
-    } else {
-        for (unsigned s = 0; s < stripes; ++s)
-            logNames_.push_back(log_name + "." +
-                                std::to_string(s));
-    }
-    for (const std::string &name : logNames_) {
-        if (!fs_.create(name))
+    for (unsigned s = 0; s < logStripes; ++s) {
+        logNames_[s] = log_name + "." + std::to_string(s);
+        if (!fs_.create(logNames_[s]))
             sim::fatal("shard log '%s' already exists",
-                       name.c_str());
+                       logNames_[s].c_str());
     }
 }
 
