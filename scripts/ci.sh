@@ -3,12 +3,11 @@
 # CI gate: static analysis first (bluedbm-lint, the hardened lint
 # build and standalone-header compilation -- cheap failures
 # short-circuit the expensive smokes), then build the release and
-# sanitizer presets, run the full test suite on both (any
-# ASan/UBSan finding fails the run) and every example's self-check
-# on the release build, then regenerate the tracked perf JSONs
-# (BENCH_kernel.json from the kernel ablation, BENCH_kv.json from the
-# KV service bench) so the perf trajectory stays machine-readable
-# across PRs.
+# sanitizer presets, run the full test suite and every example's
+# self-check on both (any ASan/UBSan finding fails the run), then
+# regenerate the tracked perf JSONs (BENCH_kernel.json from the
+# kernel ablation, BENCH_kv.json from the KV service bench) so the
+# perf trajectory stays machine-readable across PRs.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -41,22 +40,6 @@ cmake --build --preset release -j"${JOBS}"
 echo "=== release: ctest ==="
 ctest --preset release -j"${JOBS}"
 
-echo "=== release: examples ==="
-# Every example checks its own result and exits non-zero when a
-# check it prints fails; together they take well under a second.
-examples=(build/example_*)
-if [[ ! -x "${examples[0]}" ]]; then
-    echo "no example binaries in build/" >&2
-    exit 1
-fi
-for ex in "${examples[@]}"; do
-    "./${ex}" > /dev/null || {
-        echo "example gate: ${ex} exited non-zero" >&2
-        exit 1
-    }
-done
-echo "example gate ok: ${#examples[@]} examples passed their checks"
-
 echo "=== sanitize (ASan+UBSan): configure + build ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j"${JOBS}"
@@ -66,6 +49,26 @@ echo "=== sanitize: ctest ==="
 # (ASan aborts on its own); leak detection stays on by default.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --preset sanitize -j"${JOBS}"
+
+echo "=== examples: release + sanitize ==="
+# Every example checks its own result and exits non-zero when a
+# check it prints fails; under sanitize any ASan/UBSan finding or
+# leak report fails it too. Both presets take a few seconds.
+for dir in build build-sanitize; do
+    examples=("${dir}"/example_*)
+    if [[ ! -x "${examples[0]}" ]]; then
+        echo "no example binaries in ${dir}/" >&2
+        exit 1
+    fi
+    for ex in "${examples[@]}"; do
+        UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+            "./${ex}" > /dev/null || {
+            echo "example gate: ${ex} exited non-zero" >&2
+            exit 1
+        }
+    done
+    echo "example gate ok: ${#examples[@]} ${dir} examples passed their checks"
+done
 
 echo "=== sanitize: hot-key KV smoke ==="
 # One tiny skewed serving run end to end (preload + Zipfian traffic

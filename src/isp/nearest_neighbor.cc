@@ -55,6 +55,9 @@ NearestNeighborEngine::query(flash::PageBuffer query,
                 ++st->completed;
                 if (st->completed == st->candidates.size()) {
                     st->done(std::move(st->result));
+                    // The pump holds itself; drop it so the query's
+                    // state is freed.
+                    *pump = nullptr;
                     return;
                 }
                 (*pump)();
