@@ -137,7 +137,6 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
                 value.size());
     const std::string &log = fileFor(key);
     std::uint64_t value_offset = fs_.size(log) + recordHeaderBytes;
-    std::uint64_t record_bytes = record.size();
 
     KeyRecord &r = recordFor(key);
     // With no append in flight, the current state (live, tombstone
@@ -154,7 +153,7 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
     r.cur = mine;
     r.corrupt = false;
     liveBytes_ += len;
-    logBytes_ += record_bytes;
+    logBytes_ += record.size();
 
     // Reads must see this version immediately (read-your-writes):
     // park it in the memtable until the append is durable.

@@ -345,12 +345,9 @@ class KvShard
         Presence presence = Presence::Absent;
     };
 
-    /**
-     * Everything the shard knows about one key. A record lives while
-     * its key is live, a retained tombstone, or has an append in
-     * flight; one lookup serves a put, its completion, a get or a
-     * repair decision.
-     */
+    /** Everything the shard knows about one key. A record lives
+     * while its key is live, a retained tombstone, or has an append
+     * in flight. */
     struct KeyRecord
     {
         /** The optimistic state: updated at issue time, so reads,
