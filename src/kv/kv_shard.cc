@@ -381,7 +381,7 @@ KvShard::pruneTombstones(std::uint64_t lo, std::uint64_t hi,
             r.cur.stamp < below) {
             r.cur.presence = Presence::Absent;
             if (r.inflight == 0) {
-                records_.erase(key);
+                records_.erase(Key{key}); // copy: key is in the node
                 it = byHash_.erase(it);
                 continue;
             }
