@@ -34,11 +34,13 @@ using JsonCounters = std::vector<std::pair<std::string, double>>;
  * trajectory of every bench is machine-readable across PRs (the
  * BENCH_*.json files at the repo root).
  *
- * Non-finite values are emitted as null. Returns false (with a
- * warning on stderr) when the file cannot be written.
+ * Values are printed with @p digits significant digits; non-finite
+ * ones are emitted as null. Returns false (with a warning on stderr)
+ * when the file cannot be written.
  */
 inline bool
-writeJson(const std::string &path, const JsonCounters &counters)
+writeJson(const std::string &path, const JsonCounters &counters,
+          int digits = 6)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -50,7 +52,7 @@ writeJson(const std::string &path, const JsonCounters &counters)
         const auto &[name, value] = counters[i];
         std::fprintf(f, "  \"%s\": ", name.c_str());
         if (std::isfinite(value))
-            std::fprintf(f, "%.6g", value);
+            std::fprintf(f, "%.*g", digits, value);
         else
             std::fprintf(f, "null");
         std::fprintf(f, "%s\n", i + 1 < counters.size() ? "," : "");

@@ -5,12 +5,11 @@
  * RAMCloud comparison, with the ROADMAP's 20-node ring as the
  * headline configuration).
  *
- * Four experiments, all YCSB-style 95/5 read/write over 8 KB
- * flash pages with 256-byte values, replication R=2 (quorum-acked
- * writes, W=1 by default / read-one):
- *  - scaling: closed-loop throughput and p50/p99/p99.9 at 4, 8 and
- *    20 nodes (clients scale with nodes; throughput must scale
- *    monotonically);
+ * Five experiments over 8 KB flash pages, replication R=2
+ * (quorum-acked writes, W=1 unless swept / read-one); all but the
+ * aged-flash run are YCSB-style 95/5 read/write with 256-byte values:
+ *  - scaling: closed-loop throughput and p50/p99/p99.9 at 4, 8, 20
+ *    and 100 nodes (clients scale with nodes);
  *  - skew: Zipfian theta sweep plus uniform at 8 nodes, run both
  *    with and without the hot-key read cache (hot keys concentrate
  *    on few shards; validated cache hits + read coalescing + read
@@ -20,20 +19,21 @@
  *  - write quorum: W=1 vs W=2 at 20 nodes with read/write p99
  *    attribution, the repair-lag high-water (max client-acked puts
  *    simultaneously outstanding on straggler replicas), and a
- *    post-run anti-entropy sweep confirming zero divergence.
+ *    post-run anti-entropy sweep confirming zero divergence;
+ *  - faults: a node crash + rebuild and a ring expansion at 20
+ *    nodes, and aged flash at 4 nodes (50/50 mix, 2 KB values),
+ *    all under live load.
  *
- * Emits BENCH_kv.json. Acceptance: the 20-node run sustains
- * >= 100k ops/s, scaling is monotone 4 -> 8 -> 20, the cached
- * hot-shard p99 stays several-fold under the uncached one, and
- * W=1 write p99 sits well under the W=2 write-all tail.
+ * Emits BENCH_kv.json. The bench gates nothing itself: every bound
+ * on its numbers (throughput floors, monotone scaling, tail ratios,
+ * zero divergence, ...) is a row of tools/gates/gates.py.
  *
- * `--write-quorum W` overrides the default W=1 for the scaling /
- * skew / open-loop sections (the W sweep always runs both).
- *
- * `--smoke` runs one tiny hot-key config end to end (no JSON);
- * `--smoke-quorum` runs the quorum fault-injection scenario (W=1
- * straggler failure healed by a repair sweep). Both are the
- * sanitizer-preset CI gates.
+ * Each smoke mode runs one small scenario end to end and writes its
+ * fields, named as in BENCH_kv.json, to a SMOKE_*.json file in the
+ * current directory for the same gate table: `--smoke` (4-node
+ * hot-key config; SMOKE_kv_traced.json when traced),
+ * `--smoke-quorum` (W=1 straggler failure healed by a repair sweep),
+ * `--kill-node`, `--expand`, `--age` and `--smoke-100`.
  */
 
 #include <benchmark/benchmark.h>
@@ -181,10 +181,6 @@ struct RunResult
     double tracedSpanSumErrUs = 0.0;
 };
 
-/** Default write quorum for the non-sweep sections
- * (--write-quorum). */
-unsigned globalQuorum = 1;
-
 /** --trace-out: Chrome trace-event JSON path (traced runs). */
 std::string gTraceOut;
 /** --slow-trace-us: always-retain threshold for the slow-request
@@ -243,11 +239,9 @@ checkSpanSums(const sim::Tracer &tracer, RunResult &r)
 RunResult
 runConfig(unsigned nodes, bool zipfian, double theta, bool open_loop,
           double arrivals_per_sec, std::uint64_t total_ops,
-          bool cached = true, unsigned write_quorum = 0,
+          bool cached = true, unsigned write_quorum = 1,
           bool traced = false)
 {
-    if (write_quorum == 0)
-        write_quorum = globalQuorum;
     sim::Simulator sim;
     if (traced) {
         sim::Tracer::Params tp;
@@ -1096,7 +1090,7 @@ runAll()
     // NAND must telescope (span sums == e2e); --trace-out exports
     // the span trees as Chrome trace-event JSON for Perfetto.
     traced_run = runConfig(20, true, 0.99, false, 0.0, 12000, true,
-                           0, true);
+                           1, true);
 
     // Elastic membership at rack scale: one node crashes and is
     // rebuilt under load; a 21st node joins a 20-node serving ring.
@@ -1152,7 +1146,7 @@ printTable()
     }
     const auto &head = scalingAt(20);
     std::printf("\nClosed-loop scaling must be monotone: %.0f -> "
-                "%.0f -> %.0f -> %.0f ops/s (targets >= 100k at 20 "
+                "%.0f -> %.0f -> %.0f ops/s (targets >= 1.9M at 20 "
                 "nodes, >= 10M at 100).\nOpen loop: %llu rejected "
                 "at admission of %u offered.\n",
                 scaling[0].tput, scaling[1].tput, scaling[2].tput,
@@ -1289,18 +1283,197 @@ BM_KvService(benchmark::State &state)
 
 BENCHMARK(BM_KvService)->Iterations(1)->Unit(benchmark::kSecond);
 
-} // namespace
+// ---------------------------------------------------------------- //
+// JSON fields. BENCH_kv.json and the smoke modes' SMOKE_*.json share
+// these emitters, so a smoke's fields carry its scenario's names and
+// tools/gates/gates.py can hold both to the same bounds.
+// ---------------------------------------------------------------- //
 
-namespace {
+using bench::JsonCounters;
+
+void
+stageFields(JsonCounters &c, const std::string &p, const StageTails &s)
+{
+    c.emplace_back(p + "stage_admission_p99_us", s.admissionP99us);
+    c.emplace_back(p + "stage_net_p99_us", s.netP99us);
+    c.emplace_back(p + "stage_shard_p99_us", s.shardP99us);
+    c.emplace_back(p + "stage_flash_queue_p99_us", s.flashQueueP99us);
+    c.emplace_back(p + "stage_nand_p99_us", s.nandP99us);
+}
+
+/** A closed-loop serving run (the scaling sweep). */
+void
+runFields(JsonCounters &c, const std::string &p, const RunResult &r)
+{
+    c.emplace_back(p + "tput_ops", r.tput);
+    c.emplace_back(p + "p50_us", r.p50us);
+    c.emplace_back(p + "p99_us", r.p99us);
+    c.emplace_back(p + "p999_us", r.p999us);
+    c.emplace_back(p + "read_p99_us", r.readP99us);
+    c.emplace_back(p + "write_p99_us", r.writeP99us);
+    c.emplace_back(p + "mean_us", r.meanUs);
+    c.emplace_back(p + "suspended_programs",
+                   double(r.suspendedPrograms));
+    c.emplace_back(p + "resumed_programs", double(r.resumedPrograms));
+    stageFields(c, p, r.stages);
+}
+
+/** A serving run and its post-run repair sweep (the quorum sweep). */
+void
+sweepFields(JsonCounters &c, const std::string &p, const RunResult &r)
+{
+    c.emplace_back(p + "tput_ops", r.tput);
+    c.emplace_back(p + "p99_us", r.p99us);
+    c.emplace_back(p + "read_p99_us", r.readP99us);
+    c.emplace_back(p + "write_p99_us", r.writeP99us);
+    c.emplace_back(p + "repair_lag", double(r.repairLag));
+    c.emplace_back(p + "divergent_after_sweep",
+                   double(r.divergentSwept));
+}
+
+/** A traced serving run and its span-sum check. */
+void
+traceFields(JsonCounters &c, const std::string &p, const RunResult &r)
+{
+    c.emplace_back(p + "tput_ops", r.tput);
+    c.emplace_back(p + "p99_us", r.p99us);
+    c.emplace_back(p + "started", double(r.tracesStarted));
+    c.emplace_back(p + "retained", double(r.tracesRetained));
+    c.emplace_back(p + "slow", double(r.tracesSlow));
+    c.emplace_back(p + "span_checked", double(r.tracedChecked));
+    c.emplace_back(p + "span_sum_err_us", r.tracedSpanSumErrUs);
+}
+
+void
+phaseFields(JsonCounters &c, const std::string &p, const MemberPhase &m)
+{
+    c.emplace_back(p + "tput_ops", m.tput);
+    c.emplace_back(p + "p50_us", m.p50us);
+    c.emplace_back(p + "p99_us", m.p99us);
+    c.emplace_back(p + "read_timeouts", double(m.readTimeouts));
+    c.emplace_back(p + "degraded_writes", double(m.degradedWrites));
+    c.emplace_back(p + "dead_transitions", double(m.deadTransitions));
+    stageFields(c, p, m.stages);
+}
+
+void
+killFields(JsonCounters &c, const MemberResult &r)
+{
+    phaseFields(c, "member_kill_steady_", r.steady);
+    phaseFields(c, "member_kill_window_", r.window);
+    phaseFields(c, "member_kill_rebuild_", r.rebuild);
+    phaseFields(c, "member_kill_post_", r.post);
+    c.emplace_back("member_kill_read_timeouts", double(r.readTimeouts));
+    c.emplace_back("member_kill_dead_transitions",
+                   double(r.deadTransitions));
+    c.emplace_back("member_kill_degraded_writes",
+                   double(r.degradedWrites));
+    c.emplace_back("member_kill_rebuild_repairs",
+                   double(r.rebuildRepairs));
+    c.emplace_back("member_kill_bg_reads", double(r.bgReads));
+    c.emplace_back("member_kill_bg_writes", double(r.bgWrites));
+    c.emplace_back("member_kill_backoffs", double(r.backoffs));
+    c.emplace_back("member_kill_divergent_final",
+                   double(r.divergentFinal));
+}
+
+void
+expandFields(JsonCounters &c, const MemberResult &r)
+{
+    phaseFields(c, "member_expand_steady_", r.steady);
+    phaseFields(c, "member_expand_window_", r.window);
+    phaseFields(c, "member_expand_post_", r.post);
+    c.emplace_back("member_expand_moved_keys", double(r.movedKeys));
+    c.emplace_back("member_expand_ring_epoch", double(r.ringEpoch));
+    c.emplace_back("member_expand_divergent_final",
+                   double(r.divergentFinal));
+}
+
+void
+ageFields(JsonCounters &c, const AgeResult &r)
+{
+    c.emplace_back("age_keys", double(r.keys));
+    c.emplace_back("age_utilization", r.utilization);
+    c.emplace_back("age_fresh_tput_ops", r.fresh.tput);
+    c.emplace_back("age_fresh_p99_us", r.fresh.p99us);
+    c.emplace_back("age_aged_tput_ops", r.aged.tput);
+    c.emplace_back("age_aged_p99_us", r.aged.p99us);
+    c.emplace_back("age_write_amp", r.writeAmp);
+    c.emplace_back("age_erase_min", double(r.eraseMin));
+    c.emplace_back("age_erase_p50", double(r.eraseP50));
+    c.emplace_back("age_erase_max", double(r.eraseMax));
+    c.emplace_back("age_retired_blocks", double(r.retiredBlocks));
+    c.emplace_back("age_bits_corrected", double(r.bitsCorrected));
+    c.emplace_back("age_uncorrectable_pages",
+                   double(r.uncorrectablePages));
+    c.emplace_back("age_retried_reads", double(r.retriedReads));
+    c.emplace_back("age_retry_successes", double(r.retrySuccesses));
+    c.emplace_back("age_retry_failures", double(r.retryFailures));
+    c.emplace_back("age_poisoned_pages", double(r.poisonedPages));
+    c.emplace_back("age_relocated_pages", double(r.relocatedPages));
+    c.emplace_back("age_local_corruptions",
+                   double(r.localCorruptions));
+    c.emplace_back("age_repaired_keys", double(r.repairedKeys));
+    c.emplace_back("age_corrupt_final", double(r.corruptFinal));
+    c.emplace_back("age_divergent_final", double(r.divergentFinal));
+    c.emplace_back("age_pressured", double(r.pressured));
+    c.emplace_back("age_backoffs", double(r.backoffs));
+    c.emplace_back("age_foreground_assists",
+                   double(r.foregroundAssists));
+    c.emplace_back("age_reserve_alarms", double(r.reserveAlarms));
+    c.emplace_back("age_clean_parks", double(r.cleanParks));
+    c.emplace_back("age_trimmed_pages", double(r.trimmedPages));
+    c.emplace_back("age_read_back_bad", double(r.readBackBad));
+}
+
+/** Every BENCH_kv.json field, in file order. */
+JsonCounters
+kvFields()
+{
+    JsonCounters c;
+    for (const auto &r : scaling)
+        runFields(c, "nodes" + std::to_string(r.nodes) + "_", r);
+    const auto &head = scalingAt(20);
+    c.emplace_back("nodes20_cache_served", double(head.cacheServed));
+    c.emplace_back("nodes20_cache_stale", double(head.cacheStale));
+    c.emplace_back("nodes20_coalesced_gets", double(head.coalesced));
+    auto theta_label = [](const RunResult &r) {
+        return r.theta == 0.0
+            ? std::string("uniform")
+            : "theta" + std::to_string(int(r.theta * 100));
+    };
+    for (const auto &r : skew) {
+        c.emplace_back("skew_" + theta_label(r) + "_tput_ops", r.tput);
+        c.emplace_back("skew_" + theta_label(r) + "_p99_us", r.p99us);
+    }
+    for (const auto &r : skewNoCache) {
+        c.emplace_back("skew_nocache_" + theta_label(r) + "_tput_ops",
+                       r.tput);
+        c.emplace_back("skew_nocache_" + theta_label(r) + "_p99_us",
+                       r.p99us);
+    }
+    for (const auto &r : quorumSweep)
+        sweepFields(c, "quorum_w" + std::to_string(r.quorum) + "_", r);
+    c.emplace_back("open_tput_ops", open_loop_run.tput);
+    c.emplace_back("open_p50_us", open_loop_run.p50us);
+    c.emplace_back("open_p99_us", open_loop_run.p99us);
+    c.emplace_back("open_p999_us", open_loop_run.p999us);
+    c.emplace_back("open_rejected", double(open_loop_run.rejected));
+    traceFields(c, "traced_", traced_run);
+    killFields(c, killRun);
+    expandFields(c, expandRun);
+    ageFields(c, ageRun);
+    return c;
+}
 
 /**
- * Quorum fault-injection smoke (CI, sanitizer preset): W=1 puts
- * against a cluster where one node fails every NAND program, so
- * every put with that node as a straggler acks Ok and leaves a
- * divergence -- which one anti-entropy sweep must drain to zero.
- * Returns 0 on success, 1 on any contract violation. No JSON.
+ * Quorum fault-injection smoke: W=1 puts against a cluster where one
+ * node fails every NAND program, so every put with that node as a
+ * straggler acks Ok and leaves a divergence -- which one anti-entropy
+ * sweep must drain, after which every key reads its overwrite from
+ * every node.
  */
-int
+JsonCounters
 smokeQuorum()
 {
     sim::Simulator sim;
@@ -1352,32 +1525,9 @@ smokeQuorum()
     bool swept = false;
     router.repairSweep([&]() { swept = true; });
     sim.run();
+    if (!swept)
+        sim::fatal("quorum smoke repair sweep did not finish");
 
-    std::printf("quorum smoke: %u/%u first puts ok, %u second, "
-                "%llu divergent -> %llu after sweep, %llu repairs "
-                "applied on node %u\n",
-                ok, unsigned(keys), ok2,
-                (unsigned long long)divergent,
-                (unsigned long long)router.divergentWrites(),
-                (unsigned long long)
-                    router.shard(net::NodeId(faulty))
-                        .repairsApplied(),
-                faulty);
-    if (ok != keys) {
-        std::fprintf(stderr, "fault-free puts failed\n");
-        return 1;
-    }
-    if (divergent == 0) {
-        std::fprintf(stderr,
-                     "fault injection produced no divergence\n");
-        return 1;
-    }
-    if (!swept || router.divergentWrites() != 0) {
-        std::fprintf(stderr,
-                     "anti-entropy did not drain divergence\n");
-        return 1;
-    }
-    // Every key must now read the overwrite value from every node.
     unsigned bad = 0, reads = 0;
     for (kv::Key k = 0; k < keys; ++k) {
         for (unsigned origin = 0; origin < 4; ++origin) {
@@ -1393,12 +1543,29 @@ smokeQuorum()
         }
     }
     sim.run();
-    if (reads != keys * 4 || bad != 0) {
-        std::fprintf(stderr,
-                     "%u/%u post-repair reads wrong\n", bad, reads);
-        return 1;
-    }
-    return 0;
+
+    return {
+        {"quorum_w1_puts", double(keys)},
+        {"quorum_w1_puts_ok", double(ok)},
+        {"quorum_w1_faulted_puts_ok", double(ok2)},
+        {"quorum_w1_divergent", double(divergent)},
+        {"quorum_w1_divergent_after_sweep",
+         double(router.divergentWrites())},
+        {"quorum_w1_straggler_repairs",
+         double(router.shard(net::NodeId(faulty)).repairsApplied())},
+        {"quorum_w1_reads", double(reads)},
+        {"quorum_w1_reads_bad", double(bad)},
+    };
+}
+
+/** Print a smoke's fields and write them to @p path (full precision,
+ * so a bound is not met by rounding). Returns main()'s exit code. */
+int
+writeSmoke(const char *path, const JsonCounters &c)
+{
+    for (const auto &[name, value] : c)
+        std::printf("%s %g\n", name.c_str(), value);
+    return bench::writeJson(path, c, 17) ? 0 : 1;
 }
 
 } // namespace
@@ -1436,317 +1603,43 @@ main(int argc, char **argv)
     argc = kept;
     argv[argc] = nullptr;
 
+    // Smoke modes (CI runs them under ASan/UBSan): one scenario each,
+    // its fields written to SMOKE_*.json for tools/gates/gates.py.
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--write-quorum") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--write-quorum needs a value\n");
-                return 1;
+        std::string a(argv[i]);
+        JsonCounters c;
+        if (a == "--smoke") {
+            bool traced = !gTraceOut.empty() || gSlowTraceUs != 0;
+            RunResult r = runConfig(4, true, 0.99, false, 0.0, 4000,
+                                    true, 1, traced);
+            if (traced) {
+                traceFields(c, "traced_", r);
+                return writeSmoke("SMOKE_kv_traced.json", c);
             }
-            globalQuorum = unsigned(std::atoi(argv[++i]));
-            if (globalQuorum < 1 || globalQuorum > 2) {
-                std::fprintf(stderr,
-                             "--write-quorum must be 1 or 2\n");
-                return 1;
-            }
-            continue;
+            runFields(c, "nodes4_", r);
+            return writeSmoke("SMOKE_kv.json", c);
         }
-        if (std::string(argv[i]) == "--smoke-quorum")
-            return smokeQuorum();
-        // Membership smokes (CI, sanitizer preset): the full
-        // crash-rebuild / join scenarios at 4 serving nodes with
-        // tight detection knobs, gated on the robustness contract:
-        // zero divergence after recovery and a transition p99
-        // within 3x of steady state. No JSON side effects.
-        if (std::string(argv[i]) == "--kill-node") {
-            MemberResult r = runKillRebuild(4, 3000, true);
-            std::printf("kill smoke: steady p99 %.1fus, window "
-                        "p99 %.1fus, rebuild p99 %.1fus, %llu "
-                        "repairs, %llu bg writes, divergent "
-                        "%llu; timeouts by phase steady/window "
-                        "%llu/%llu\n",
-                        r.steady.p99us, r.window.p99us,
-                        r.rebuild.p99us,
-                        (unsigned long long)r.rebuildRepairs,
-                        (unsigned long long)r.bgWrites,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.steady.readTimeouts,
-                        (unsigned long long)r.window.readTimeouts);
-            if (r.divergentFinal != 0) {
-                std::fprintf(stderr, "divergence survived the "
-                                     "rebuild + final sweep\n");
-                return 1;
-            }
-            if (r.deadTransitions == 0) {
-                std::fprintf(stderr,
-                             "crash was never detected\n");
-                return 1;
-            }
-            // Phase attribution of the membership counters: the
-            // crash window -- not steady state -- must account for
-            // the timeout surge and every dead transition. (The
-            // tight knobs sit below the 4-node steady tail, so a
-            // few spurious steady timeouts are expected; the crash
-            // must still dominate.) The two phase deltas must also
-            // sum back to the cumulative counter, or the snapshot
-            // machinery is dropping activity.
-            if (r.steady.deadTransitions != 0 ||
-                r.window.deadTransitions == 0) {
-                std::fprintf(stderr,
-                             "dead transitions misattributed: "
-                             "steady %llu, window %llu\n",
-                             (unsigned long long)
-                                 r.steady.deadTransitions,
-                             (unsigned long long)
-                                 r.window.deadTransitions);
-                return 1;
-            }
-            if (r.window.readTimeouts <= r.steady.readTimeouts) {
-                std::fprintf(stderr,
-                             "crash window does not own the "
-                             "timeout surge: steady %llu, window "
-                             "%llu\n",
-                             (unsigned long long)
-                                 r.steady.readTimeouts,
-                             (unsigned long long)
-                                 r.window.readTimeouts);
-                return 1;
-            }
-            if (r.steady.readTimeouts + r.window.readTimeouts !=
-                r.readTimeouts) {
-                std::fprintf(stderr,
-                             "phase deltas do not sum to the "
-                             "cumulative counter: %llu + %llu != "
-                             "%llu\n",
-                             (unsigned long long)
-                                 r.steady.readTimeouts,
-                             (unsigned long long)
-                                 r.window.readTimeouts,
-                             (unsigned long long)r.readTimeouts);
-                return 1;
-            }
-            if (r.window.p99us > 3.0 * r.steady.p99us) {
-                std::fprintf(stderr,
-                             "kill-window p99 %.1fus exceeds 3x "
-                             "steady %.1fus\n",
-                             r.window.p99us, r.steady.p99us);
-                return 1;
-            }
-            return 0;
+        if (a == "--smoke-quorum")
+            return writeSmoke("SMOKE_quorum.json", smokeQuorum());
+        if (a == "--kill-node") {
+            killFields(c, runKillRebuild(4, 3000, true));
+            return writeSmoke("SMOKE_kill.json", c);
         }
-        // Aged-flash smoke (CI, sanitizer preset): the full wear
-        // ladder -- elevated BER, read retries, poisoned pages,
-        // replica heal, block retirement, capacity pressure --
-        // under live load, self-gated on the robustness contract:
-        // the machinery must actually engage, every wear-destroyed
-        // page must heal from its replica, nothing may be lost,
-        // and the aged tail must hold within 3x of fresh. No JSON.
-        if (std::string(argv[i]) == "--age") {
-            AgeResult r = runAging(4, 6000);
-            std::printf("age smoke: %llu keys at %.0f%% "
-                        "utilization; fresh p99 %.1fus -> aged "
-                        "p99 %.1fus; %llu uncorrectable senses, "
-                        "%llu retries (%llu rescued), %llu pages "
-                        "poisoned, %llu blocks retired, %llu "
-                        "relocated pages, WA %.2f, erase "
-                        "%u/%u/%u\n",
-                        (unsigned long long)r.keys,
-                        100.0 * r.utilization, r.fresh.p99us,
-                        r.aged.p99us,
-                        (unsigned long long)r.uncorrectablePages,
-                        (unsigned long long)r.retriedReads,
-                        (unsigned long long)r.retrySuccesses,
-                        (unsigned long long)r.poisonedPages,
-                        (unsigned long long)r.retiredBlocks,
-                        (unsigned long long)r.relocatedPages,
-                        r.writeAmp, r.eraseMin, r.eraseP50,
-                        r.eraseMax);
-            std::printf("age smoke: %llu local corruptions, %llu "
-                        "repaired keys, divergence %llu -> %llu "
-                        "(%llu corrupt left), %llu pressured "
-                        "(%llu backoffs), read-back %llu/%llu "
-                        "bad\n",
-                        (unsigned long long)r.localCorruptions,
-                        (unsigned long long)r.repairedKeys,
-                        (unsigned long long)r.divergent,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.corruptFinal,
-                        (unsigned long long)r.pressured,
-                        (unsigned long long)r.backoffs,
-                        (unsigned long long)r.readBackBad,
-                        (unsigned long long)r.readBack);
-            if (r.uncorrectablePages == 0 ||
-                r.retrySuccesses == 0) {
-                std::fprintf(stderr,
-                             "wear model never bit: %llu "
-                             "uncorrectable, %llu rescued\n",
-                             (unsigned long long)
-                                 r.uncorrectablePages,
-                             (unsigned long long)
-                                 r.retrySuccesses);
-                return 1;
-            }
-            if (r.retiredBlocks == 0 || r.relocatedPages == 0) {
-                std::fprintf(stderr,
-                             "no block retired behind the "
-                             "cleaner (%llu retired, %llu "
-                             "relocated)\n",
-                             (unsigned long long)r.retiredBlocks,
-                             (unsigned long long)
-                                 r.relocatedPages);
-                return 1;
-            }
-            if (r.divergentFinal != 0 || r.corruptFinal != 0) {
-                std::fprintf(stderr,
-                             "corruption survived the sweep "
-                             "(%llu divergent, %llu corrupt)\n",
-                             (unsigned long long)r.divergentFinal,
-                             (unsigned long long)r.corruptFinal);
-                return 1;
-            }
-            if (r.readBackBad != 0) {
-                std::fprintf(stderr,
-                             "%llu/%llu keys lost after heal\n",
-                             (unsigned long long)r.readBackBad,
-                             (unsigned long long)r.readBack);
-                return 1;
-            }
-            if (r.writeAmp < 1.0) {
-                std::fprintf(stderr,
-                             "write amplification %.2f < 1\n",
-                             r.writeAmp);
-                return 1;
-            }
-            if (r.utilization < 0.78 || r.utilization > 0.93) {
-                std::fprintf(stderr,
-                             "occupancy %.0f%% outside the "
-                             "80-90%% aged-flash band\n",
-                             100.0 * r.utilization);
-                return 1;
-            }
-            if (r.aged.p99us > 3.0 * r.fresh.p99us) {
-                std::fprintf(stderr,
-                             "aged p99 %.1fus exceeds 3x fresh "
-                             "%.1fus\n",
-                             r.aged.p99us, r.fresh.p99us);
-                return 1;
-            }
-            return 0;
-        }
-        if (std::string(argv[i]) == "--expand") {
+        if (a == "--expand") {
             // Default detection knobs: a join involves no failure
             // detection, and the tight timeouts sit below the
             // 4-node steady tail, manufacturing spurious retries.
-            MemberResult r = runExpand(4, 3000, false);
-            std::printf("expand smoke: steady p99 %.1fus, handoff "
-                        "p99 %.1fus, %llu keys moved, epoch %llu, "
-                        "divergent %llu, %llu read timeouts, %llu "
-                        "retried reads, %llu degraded writes\n",
-                        r.steady.p99us, r.window.p99us,
-                        (unsigned long long)r.movedKeys,
-                        (unsigned long long)r.ringEpoch,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.readTimeouts,
-                        (unsigned long long)r.retriedReads,
-                        (unsigned long long)r.degradedWrites);
-            if (r.divergentFinal != 0) {
-                std::fprintf(stderr, "divergence survived the "
-                                     "handoff + final sweep\n");
-                return 1;
-            }
-            if (r.movedKeys == 0 || r.ringEpoch != 1) {
-                std::fprintf(stderr, "join moved no keys\n");
-                return 1;
-            }
-            if (r.window.p99us > 3.0 * r.steady.p99us) {
-                std::fprintf(stderr,
-                             "handoff-window p99 %.1fus exceeds "
-                             "3x steady %.1fus\n",
-                             r.window.p99us, r.steady.p99us);
-                return 1;
-            }
-            return 0;
+            expandFields(c, runExpand(4, 3000, false));
+            return writeSmoke("SMOKE_expand.json", c);
         }
-    }
-    // Cluster-scale smoke (CI, sanitizer preset): the 100-node ring
-    // end to end with a reduced op budget, so the ladder queue and
-    // next-hop routing run at full fan-out under ASan/UBSan. No JSON.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke-100") {
-            RunResult r = runConfig(100, true, 0.99, false, 0.0,
-                                    20000);
-            std::printf("smoke-100: %.0f ops/s, p50 %.1f us, "
-                        "p99 %.1f us, remote %llu / local %llu\n",
-                        r.tput, r.p50us, r.p99us,
-                        (unsigned long long)r.remoteOps,
-                        (unsigned long long)r.localOps);
-            if (r.tput <= 0.0) {
-                std::fprintf(stderr,
-                             "smoke-100 run made no progress\n");
-                return 1;
-            }
-            if (r.divergentSwept != 0) {
-                std::fprintf(stderr,
-                             "smoke-100 left %llu divergent "
-                             "writes after the sweep\n",
-                             (unsigned long long)r.divergentSwept);
-                return 1;
-            }
-            return 0;
+        if (a == "--age") {
+            ageFields(c, runAging(4, 6000));
+            return writeSmoke("SMOKE_age.json", c);
         }
-    }
-    // Smoke mode (CI, sanitizer preset): one tiny hot-key config
-    // end to end -- preload, skewed traffic, cache + coalescing +
-    // spreading exercised -- with no JSON side effects.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke") {
-            bool traced = !gTraceOut.empty() || gSlowTraceUs != 0;
-            RunResult r = runConfig(4, true, 0.99, false, 0.0,
-                                    4000, true, 0, traced);
-            std::printf("smoke: %.0f ops/s, p99 %.1f us "
-                        "(read %.1f / write %.1f), "
-                        "%llu cache-served, %llu coalesced\n",
-                        r.tput, r.p99us, r.readP99us, r.writeP99us,
-                        (unsigned long long)r.cacheServed,
-                        (unsigned long long)r.coalesced);
-            std::printf("smoke stages p99 (us): admission %.1f, "
-                        "net %.1f, shard %.1f, flashq %.1f, "
-                        "nand %.1f\n",
-                        r.stages.admissionP99us, r.stages.netP99us,
-                        r.stages.shardP99us,
-                        r.stages.flashQueueP99us,
-                        r.stages.nandP99us);
-            if (r.tput <= 0.0) {
-                std::fprintf(stderr, "smoke run made no progress\n");
-                return 1;
-            }
-            if (traced) {
-                std::printf("smoke traces: %llu started, %llu "
-                            "retained (%llu slow), %llu "
-                            "span-sum-checked, max err %.3f us\n",
-                            (unsigned long long)r.tracesStarted,
-                            (unsigned long long)r.tracesRetained,
-                            (unsigned long long)r.tracesSlow,
-                            (unsigned long long)r.tracedChecked,
-                            r.tracedSpanSumErrUs);
-                if (r.tracesStarted == 0 ||
-                    r.tracesRetained == 0) {
-                    std::fprintf(stderr,
-                                 "tracing retained nothing\n");
-                    return 1;
-                }
-                if (r.tracedChecked == 0 ||
-                    r.tracedSpanSumErrUs != 0.0) {
-                    std::fprintf(stderr,
-                                 "span-sum check failed: %llu "
-                                 "checked, max err %.3f us\n",
-                                 (unsigned long long)
-                                     r.tracedChecked,
-                                 r.tracedSpanSumErrUs);
-                    return 1;
-                }
-            }
-            return 0;
+        if (a == "--smoke-100") {
+            sweepFields(c, "nodes100_",
+                        runConfig(100, true, 0.99, false, 0.0, 20000));
+            return writeSmoke("SMOKE_n100.json", c);
         }
     }
 
@@ -1755,176 +1648,6 @@ main(int argc, char **argv)
     if (scaling.empty())
         runAll();
     printTable();
-
-    bench::JsonCounters counters;
-    auto stageFields = [&](const std::string &p,
-                           const StageTails &s) {
-        counters.emplace_back(p + "stage_admission_p99_us",
-                              s.admissionP99us);
-        counters.emplace_back(p + "stage_net_p99_us", s.netP99us);
-        counters.emplace_back(p + "stage_shard_p99_us",
-                              s.shardP99us);
-        counters.emplace_back(p + "stage_flash_queue_p99_us",
-                              s.flashQueueP99us);
-        counters.emplace_back(p + "stage_nand_p99_us", s.nandP99us);
-    };
-    for (const auto &r : scaling) {
-        std::string p = "nodes" + std::to_string(r.nodes) + "_";
-        counters.emplace_back(p + "tput_ops", r.tput);
-        counters.emplace_back(p + "p50_us", r.p50us);
-        counters.emplace_back(p + "p99_us", r.p99us);
-        counters.emplace_back(p + "p999_us", r.p999us);
-        counters.emplace_back(p + "read_p99_us", r.readP99us);
-        counters.emplace_back(p + "write_p99_us", r.writeP99us);
-        counters.emplace_back(p + "mean_us", r.meanUs);
-        counters.emplace_back(p + "suspended_programs",
-                              double(r.suspendedPrograms));
-        counters.emplace_back(p + "resumed_programs",
-                              double(r.resumedPrograms));
-        stageFields(p, r.stages);
-    }
-    const auto &head = scalingAt(20);
-    counters.emplace_back("nodes20_cache_served",
-                          double(head.cacheServed));
-    counters.emplace_back("nodes20_cache_stale",
-                          double(head.cacheStale));
-    counters.emplace_back("nodes20_coalesced_gets",
-                          double(head.coalesced));
-    auto theta_label = [](const RunResult &r) {
-        return r.theta == 0.0
-            ? std::string("uniform")
-            : "theta" + std::to_string(int(r.theta * 100));
-    };
-    for (const auto &r : skew) {
-        counters.emplace_back("skew_" + theta_label(r) +
-                                  "_tput_ops", r.tput);
-        counters.emplace_back("skew_" + theta_label(r) + "_p99_us",
-                              r.p99us);
-    }
-    for (const auto &r : skewNoCache) {
-        counters.emplace_back("skew_nocache_" + theta_label(r) +
-                                  "_tput_ops", r.tput);
-        counters.emplace_back("skew_nocache_" + theta_label(r) +
-                                  "_p99_us", r.p99us);
-    }
-    for (const auto &r : quorumSweep) {
-        std::string p = "quorum_w" + std::to_string(r.quorum) + "_";
-        counters.emplace_back(p + "tput_ops", r.tput);
-        counters.emplace_back(p + "p99_us", r.p99us);
-        counters.emplace_back(p + "read_p99_us", r.readP99us);
-        counters.emplace_back(p + "write_p99_us", r.writeP99us);
-        counters.emplace_back(p + "repair_lag",
-                              double(r.repairLag));
-        counters.emplace_back(p + "divergent_after_sweep",
-                              double(r.divergentSwept));
-    }
-    counters.emplace_back("open_tput_ops", open_loop_run.tput);
-    counters.emplace_back("open_p50_us", open_loop_run.p50us);
-    counters.emplace_back("open_p99_us", open_loop_run.p99us);
-    counters.emplace_back("open_p999_us", open_loop_run.p999us);
-    counters.emplace_back("open_rejected",
-                          double(open_loop_run.rejected));
-    counters.emplace_back("traced_tput_ops", traced_run.tput);
-    counters.emplace_back("traced_p99_us", traced_run.p99us);
-    counters.emplace_back("traced_started",
-                          double(traced_run.tracesStarted));
-    counters.emplace_back("traced_retained",
-                          double(traced_run.tracesRetained));
-    counters.emplace_back("traced_slow",
-                          double(traced_run.tracesSlow));
-    counters.emplace_back("traced_span_checked",
-                          double(traced_run.tracedChecked));
-    counters.emplace_back("traced_span_sum_err_us",
-                          traced_run.tracedSpanSumErrUs);
-    auto mphase = [&](const std::string &p, const MemberPhase &m) {
-        counters.emplace_back(p + "tput_ops", m.tput);
-        counters.emplace_back(p + "p50_us", m.p50us);
-        counters.emplace_back(p + "p99_us", m.p99us);
-        counters.emplace_back(p + "read_timeouts",
-                              double(m.readTimeouts));
-        counters.emplace_back(p + "degraded_writes",
-                              double(m.degradedWrites));
-        counters.emplace_back(p + "dead_transitions",
-                              double(m.deadTransitions));
-        stageFields(p, m.stages);
-    };
-    mphase("member_kill_steady_", killRun.steady);
-    mphase("member_kill_window_", killRun.window);
-    mphase("member_kill_rebuild_", killRun.rebuild);
-    mphase("member_kill_post_", killRun.post);
-    counters.emplace_back("member_kill_read_timeouts",
-                          double(killRun.readTimeouts));
-    counters.emplace_back("member_kill_dead_transitions",
-                          double(killRun.deadTransitions));
-    counters.emplace_back("member_kill_degraded_writes",
-                          double(killRun.degradedWrites));
-    counters.emplace_back("member_kill_rebuild_repairs",
-                          double(killRun.rebuildRepairs));
-    counters.emplace_back("member_kill_bg_reads",
-                          double(killRun.bgReads));
-    counters.emplace_back("member_kill_bg_writes",
-                          double(killRun.bgWrites));
-    counters.emplace_back("member_kill_backoffs",
-                          double(killRun.backoffs));
-    counters.emplace_back("member_kill_divergent_final",
-                          double(killRun.divergentFinal));
-    mphase("member_expand_steady_", expandRun.steady);
-    mphase("member_expand_window_", expandRun.window);
-    mphase("member_expand_post_", expandRun.post);
-    counters.emplace_back("member_expand_moved_keys",
-                          double(expandRun.movedKeys));
-    counters.emplace_back("member_expand_ring_epoch",
-                          double(expandRun.ringEpoch));
-    counters.emplace_back("member_expand_divergent_final",
-                          double(expandRun.divergentFinal));
-    counters.emplace_back("age_keys", double(ageRun.keys));
-    counters.emplace_back("age_utilization", ageRun.utilization);
-    counters.emplace_back("age_fresh_tput_ops", ageRun.fresh.tput);
-    counters.emplace_back("age_fresh_p99_us", ageRun.fresh.p99us);
-    counters.emplace_back("age_aged_tput_ops", ageRun.aged.tput);
-    counters.emplace_back("age_aged_p99_us", ageRun.aged.p99us);
-    counters.emplace_back("age_write_amp", ageRun.writeAmp);
-    counters.emplace_back("age_erase_min", double(ageRun.eraseMin));
-    counters.emplace_back("age_erase_p50", double(ageRun.eraseP50));
-    counters.emplace_back("age_erase_max", double(ageRun.eraseMax));
-    counters.emplace_back("age_retired_blocks",
-                          double(ageRun.retiredBlocks));
-    counters.emplace_back("age_bits_corrected",
-                          double(ageRun.bitsCorrected));
-    counters.emplace_back("age_uncorrectable_pages",
-                          double(ageRun.uncorrectablePages));
-    counters.emplace_back("age_retried_reads",
-                          double(ageRun.retriedReads));
-    counters.emplace_back("age_retry_successes",
-                          double(ageRun.retrySuccesses));
-    counters.emplace_back("age_retry_failures",
-                          double(ageRun.retryFailures));
-    counters.emplace_back("age_poisoned_pages",
-                          double(ageRun.poisonedPages));
-    counters.emplace_back("age_relocated_pages",
-                          double(ageRun.relocatedPages));
-    counters.emplace_back("age_local_corruptions",
-                          double(ageRun.localCorruptions));
-    counters.emplace_back("age_repaired_keys",
-                          double(ageRun.repairedKeys));
-    counters.emplace_back("age_corrupt_final",
-                          double(ageRun.corruptFinal));
-    counters.emplace_back("age_divergent_final",
-                          double(ageRun.divergentFinal));
-    counters.emplace_back("age_pressured",
-                          double(ageRun.pressured));
-    counters.emplace_back("age_backoffs",
-                          double(ageRun.backoffs));
-    counters.emplace_back("age_foreground_assists",
-                          double(ageRun.foregroundAssists));
-    counters.emplace_back("age_reserve_alarms",
-                          double(ageRun.reserveAlarms));
-    counters.emplace_back("age_clean_parks",
-                          double(ageRun.cleanParks));
-    counters.emplace_back("age_trimmed_pages",
-                          double(ageRun.trimmedPages));
-    counters.emplace_back("age_read_back_bad",
-                          double(ageRun.readBackBad));
-    bench::writeJson("BENCH_kv.json", counters);
+    bench::writeJson("BENCH_kv.json", kvFields());
     return 0;
 }
