@@ -19,7 +19,7 @@ for each file.
 A row fails when its file is absent or not a JSON object, when a
 field it names is missing, null, not a number or not finite, or when
 its expression is false.  Expressions may use numbers, field names,
-+ - * /, comparisons and and/or/not, nothing else.  Every row is
++ - *, comparisons and and/or/not, nothing else.  Every row is
 evaluated on every run; the exit status is 1 if any row fails.
 
 Usage: python3 tools/gates/gates.py   (stdlib only, no options)
@@ -191,8 +191,7 @@ GATES = [
 _ALLOWED = (ast.Expression, ast.Compare, ast.BoolOp, ast.BinOp,
             ast.UnaryOp, ast.Name, ast.Load, ast.Constant, ast.And,
             ast.Or, ast.Not, ast.USub, ast.Add, ast.Sub, ast.Mult,
-            ast.Div, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq,
-            ast.NotEq)
+            ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 
 def _number(v):
@@ -245,7 +244,7 @@ def evaluate(expr, doc):
             {"__builtins__": {}}, values):
         return None
     return "false with " + ", ".join(
-        "%s = %.6g" % kv for kv in sorted(values.items()))
+        "%s = %r" % kv for kv in sorted(values.items()))
 
 
 def _load(path):
