@@ -30,18 +30,42 @@ void
 Lane::releaseCredits(std::uint32_t bytes)
 {
     // The token travels back across the link before the sender can
-    // use it.
-    sim_.scheduleAfter(params_.hopLatency, [this, bytes]() {
-        credits_ += bytes;
+    // use it; the ledger holds it until then.
+    sim::Tick when = sim_.now() + params_.hopLatency;
+    std::uint32_t seq = sim_.reserveSeq(when);
+    if (ledgerSize_ == ledger_.size()) {
+        // Full: unroll the ring oldest-first into twice the room.
+        std::vector<CreditReturn> grown(
+            ledger_.empty() ? 8 : 2 * ledger_.size());
+        for (std::size_t i = 0; i < ledgerSize_; ++i)
+            grown[i] = ledgerAt(i);
+        ledger_.swap(grown);
+        ledgerHead_ = 0;
+    }
+    ledger_[(ledgerHead_ + ledgerSize_++) & (ledger_.size() - 1)] =
+        CreditReturn{when, seq, bytes};
+    armWake();
+}
+
+void
+Lane::applyCredits()
+{
+    while (ledgerSize_ > 0) {
+        const CreditReturn &r = ledger_[ledgerHead_];
+        if (!sim_.reached(r.when, r.seq))
+            return;
+        credits_ += r.bytes;
         if (credits_ > params_.bufferBytes)
             sim::panic("lane credit overflow");
-        pump();
-    });
+        ledgerHead_ = (ledgerHead_ + 1) & (ledger_.size() - 1);
+        --ledgerSize_;
+    }
 }
 
 void
 Lane::pump()
 {
+    applyCredits();
     while (!queue_.empty() && credits_ >= queue_.front().msg.bytes) {
         Pending pending = std::move(queue_.front());
         queue_.pop_front();
@@ -79,6 +103,23 @@ Lane::pump()
                       "event buffer");
         sim_.scheduleAt(tail_arrival, std::move(deliverEvent));
     }
+    armWake();
+}
+
+void
+Lane::armWake()
+{
+    // pump() leaves a message queued only when it waits for credits.
+    if (wakeArmed_ || queue_.empty() || ledgerSize_ == 0)
+        return;
+    // Wake where the oldest return lands: the very (tick, seq) its
+    // credit-return event would have had.
+    const CreditReturn &r = ledger_[ledgerHead_];
+    wakeArmed_ = true;
+    sim_.scheduleReserved(r.when, r.seq, [this]() {
+        wakeArmed_ = false;
+        pump();
+    });
 }
 
 } // namespace net

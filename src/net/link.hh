@@ -11,6 +11,22 @@
  * loss-free backpressure across the link exactly like the paper's
  * token scheme: if a receiver stops draining, the sender's queue
  * grows and upstream traffic stalls.
+ *
+ * ## Credit ledger
+ *
+ * A returning credit is not an event of its own. releaseCredits()
+ * reserves the event-queue seq a credit-return event would have had
+ * (EventQueue::reserveSeq) and appends {tick, seq, bytes} to the
+ * lane's ledger, a recycled ring. Before the lane reads its credits
+ * (every send() and pump()), it applies each ledger entry that
+ * orders at or before the running event, so it sees exactly the
+ * credits the eager events would have delivered by then. Most
+ * returns land while the lane's queue is empty, where the event
+ * would only have added to the count. Only while a message waits
+ * for credits does the lane hold one wake event, scheduled under the
+ * oldest entry's reserved (tick, seq): it fires exactly where that
+ * entry's credit-return event would have fired, so every delivery
+ * tick and the order of every other event are unchanged.
  */
 
 #ifndef BLUEDBM_NET_LINK_HH
@@ -20,6 +36,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "net/message.hh"
 #include "sim/bandwidth.hh"
@@ -99,15 +116,28 @@ class Lane
     /**
      * Return credits for @p bytes of receiver buffer. Called by the
      * receiver when a message leaves its buffer; the token flows back
-     * over the reverse direction and arrives after the hop latency.
+     * over the reverse direction and arrives after the hop latency
+     * (recorded in the credit ledger; see the file comment).
      */
     void releaseCredits(std::uint32_t bytes);
 
     /** Messages waiting for credits or wire. */
     std::size_t queued() const { return queue_.size(); }
 
-    /** Bytes of receiver buffer currently available to this sender. */
-    std::uint32_t credits() const { return credits_; }
+    /** Bytes of receiver buffer available to this sender now,
+     * counting every credit return that has landed. */
+    std::uint32_t
+    credits() const
+    {
+        std::uint32_t c = credits_;
+        for (std::size_t i = 0; i < ledgerSize_; ++i) {
+            const CreditReturn &r = ledgerAt(i);
+            if (!sim_.reached(r.when, r.seq))
+                break;
+            c += r.bytes;
+        }
+        return c;
+    }
 
     /** Total payload bytes delivered. */
     std::uint64_t deliveredBytes() const { return deliveredBytes_; }
@@ -131,11 +161,33 @@ class Lane
     /** Try to start transmitting queued messages. */
     void pump();
 
+    /** Add every ledger entry the clock has reached to credits_. */
+    void applyCredits();
+
+    /** Schedule the wake event at the oldest ledger entry if a
+     * message waits for credits and none is scheduled yet. */
+    void armWake();
+
     struct Pending
     {
         Message msg;
         HopHook onStart;
     };
+
+    /** One credit return in flight: lands at (when, seq). */
+    struct CreditReturn
+    {
+        sim::Tick when;
+        std::uint32_t seq;
+        std::uint32_t bytes;
+    };
+
+    /** Ledger entry @p i, counted from the oldest. */
+    const CreditReturn &
+    ledgerAt(std::size_t i) const
+    {
+        return ledger_[(ledgerHead_ + i) & (ledger_.size() - 1)];
+    }
 
     sim::Simulator &sim_;
     LaneParams params_;
@@ -143,6 +195,14 @@ class Lane
     Deliver deliver_;
     std::deque<Pending> queue_;
     std::uint32_t credits_;
+    /** Credit returns in (tick, seq) order: a ring whose power-of-two
+     * capacity only grows to the most returns ever in flight at
+     * once, so steady-state appends never allocate. */
+    std::vector<CreditReturn> ledger_;
+    std::size_t ledgerHead_ = 0;
+    std::size_t ledgerSize_ = 0;
+    /** Whether the wake event for the oldest entry is scheduled. */
+    bool wakeArmed_ = false;
     std::uint64_t deliveredBytes_ = 0;
     std::uint64_t deliveredMsgs_ = 0;
 };

@@ -241,6 +241,28 @@ EventQueue::prepareHead()
     }
 }
 
+std::uint32_t
+EventQueue::takeSeq()
+{
+    std::uint32_t seq = nextSeq_++;
+    if (seq == noSeq) // sentinel is never a live seq
+        seq = nextSeq_++;
+    return seq;
+}
+
+EventId
+EventQueue::arm(Tick when, std::uint32_t seq, Callback fn)
+{
+    if (!fn)
+        panic("scheduling an empty callback");
+    std::uint32_t slot = acquireSlot();
+    fns_[slot].fn = std::move(fn);
+    meta_[slot].activeSeq = seq;
+    meta_[slot].when = when;
+    ++liveEvents_;
+    return (static_cast<EventId>(slot) << 32) | meta_[slot].gen;
+}
+
 EventId
 EventQueue::schedule(Tick when, Callback fn)
 {
@@ -248,18 +270,42 @@ EventQueue::schedule(Tick when, Callback fn)
         panic("scheduling event in the past: when=%llu now=%llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
-    if (!fn)
-        panic("scheduling an empty callback");
-    std::uint32_t slot = acquireSlot();
-    fns_[slot].fn = std::move(fn);
-    std::uint32_t seq = nextSeq_++;
-    if (seq == noSeq) // sentinel is never a live seq
-        seq = nextSeq_++;
-    meta_[slot].activeSeq = seq;
-    meta_[slot].when = when;
-    insertRecord(Rec{when, seq, slot});
-    ++liveEvents_;
-    return (static_cast<EventId>(slot) << 32) | meta_[slot].gen;
+    std::uint32_t seq = takeSeq();
+    EventId id = arm(when, seq, std::move(fn));
+    insertRecord(Rec{when, seq, eventIdSlot(id)});
+    return id;
+}
+
+std::uint32_t
+EventQueue::reserveSeq(Tick when)
+{
+    if (when < curTick_)
+        panic("reserving a seq in the past: when=%llu now=%llu",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curTick_));
+    reservedMax_ = std::max(reservedMax_, when);
+    return takeSeq();
+}
+
+EventId
+EventQueue::scheduleReserved(Tick when, std::uint32_t seq, Callback fn)
+{
+    if (reached(when, seq))
+        panic("scheduling a reserved seq already passed: when=%llu "
+              "now=%llu",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curTick_));
+    EventId id = arm(when, seq, std::move(fn));
+    Rec rec{when, seq, eventIdSlot(id)};
+    // A seq reserved for the current tick predates everything in the
+    // same-tick FIFO (those were scheduled once the clock got here),
+    // so appending would break the FIFO's order; merge it into the
+    // sorted bottom, which holds the lowest tick range.
+    if (when == curTick_)
+        insertBottom(rec);
+    else
+        insertRecord(rec);
+    return id;
 }
 
 bool
@@ -307,6 +353,7 @@ EventQueue::step()
         bottom_.pop_back();
     }
     curTick_ = rec.when;
+    runningSeq_ = rec.seq;
     // Move the callback out of its slot and recycle the slot *before*
     // running: the callback may freely schedule into or cancel from
     // the queue (including reusing this very slot).
@@ -324,16 +371,25 @@ EventQueue::runUntil(Tick limit)
     if (limit < curTick_)
         return curTick_; // never move time backwards
     for (;;) {
-        if (!prepareHead())
+        if (!prepareHead()) {
+            // Drained. Reservations never scheduled stand for events
+            // that would have run up to their tick, so the clock
+            // ends where the last of them would have.
+            if (reservedMax_ > curTick_)
+                curTick_ = std::min(reservedMax_, limit);
             break;
+        }
         Tick when = headInNow_ ? nowQ_[nowHead_].when
                                : bottom_.back().when;
         if (when > limit) {
             curTick_ = limit;
-            return curTick_;
+            break;
         }
         step();
     }
+    // Between runs, every seq issued so far at or before the final
+    // tick counts as reached.
+    runningSeq_ = nextSeq_ - 1;
     return curTick_;
 }
 

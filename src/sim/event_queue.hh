@@ -69,6 +69,28 @@
  * than 2^31 schedules separate them, which holds for any realistic
  * pending set. Same-seed runs are bit-reproducible regardless.
  *
+ * ## Reserved seqs
+ *
+ * A model may defer an event it will usually never need. The lane
+ * credit ledger (src/net/link.hh) is the user: a credit return
+ * matters only if a message is waiting for it when it lands, so the
+ * lane reserves the return's place instead of scheduling it.
+ *
+ *  - reserveSeq(when) consumes the next seq exactly as schedule()
+ *    would, so every other event keeps the seq it would have had.
+ *  - scheduleReserved(when, seq, fn) later turns the reservation into
+ *    an event that fires at that very (when, seq). A reserved seq for
+ *    the current tick is older than everything in the same-tick FIFO
+ *    (those were scheduled once the clock got there), so it merges
+ *    into the sorted bottom instead.
+ *  - runningSeq() and reached() tell the model whether a reservation
+ *    orders at or before the running event, i.e. whether its event
+ *    would already have fired.
+ *  - When the queue drains, run() and runUntil(limit) move the clock
+ *    to the latest reserved tick, capped at limit, as the unfired
+ *    events would have. Without this rule a run would end early and
+ *    shift every later injection.
+ *
  * ## Zero-allocation invariant
  *
  * After warm-up (steady-state pending count reached), schedule(),
@@ -145,6 +167,48 @@ class EventQueue
     EventId schedule(Tick when, Callback fn);
 
     /**
+     * Take the next schedule seq for a possible event at @p when
+     * without scheduling anything. The seq is consumed exactly as
+     * schedule() would have consumed it, so every other event keeps
+     * the seq (and the order) it would have had. The reservation
+     * either becomes an event through scheduleReserved() or stays
+     * unfired; run() and runUntil() still move the clock to it when
+     * the queue drains (see the determinism contract above).
+     *
+     * @param when absolute tick of the possible event; >= now()
+     * @return the reserved seq
+     */
+    std::uint32_t reserveSeq(Tick when);
+
+    /**
+     * Schedule @p fn under a seq taken earlier by reserveSeq(), so it
+     * fires exactly where an event scheduled at reservation time
+     * would have. The reserved position must not have been reached().
+     *
+     * @param when the tick passed to reserveSeq()
+     * @param seq  the seq reserveSeq() returned
+     * @param fn   callback to execute
+     * @return a handle usable with cancel()
+     */
+    EventId scheduleReserved(Tick when, std::uint32_t seq, Callback fn);
+
+    /** Seq of the event running now. Between events it is the seq of
+     * the last one step() ran, or, once run() or runUntil() has
+     * returned, the last seq issued: every event and reservation
+     * made before the return has been reached. */
+    std::uint32_t runningSeq() const { return runningSeq_; }
+
+    /** Whether an event at (@p when, @p seq) would already have run:
+     * it orders at or before (now(), runningSeq()). */
+    bool
+    reached(Tick when, std::uint32_t seq) const
+    {
+        if (when != curTick_)
+            return when < curTick_;
+        return static_cast<std::int32_t>(seq - runningSeq_) <= 0;
+    }
+
+    /**
      * Cancel a previously scheduled event in O(1).
      *
      * @return true if the event existed and had not yet fired
@@ -172,7 +236,10 @@ class EventQueue
     /**
      * Run events until the queue drains or @p limit is reached.
      *
-     * Events scheduled exactly at @p limit still execute.
+     * Events scheduled exactly at @p limit still execute. When the
+     * queue drains, the clock moves on to the latest reserveSeq()
+     * tick, capped at @p limit: the unscheduled reservations stand
+     * for events that would have run up to there.
      *
      * @param limit inclusive time bound
      * @return the tick at which execution stopped
@@ -260,6 +327,11 @@ class EventQueue
         return static_cast<std::int32_t>(a.seq - b.seq) < 0;
     }
 
+    /** Next schedule seq; skips the noSeq sentinel. */
+    std::uint32_t takeSeq();
+    /** Bind @p fn to a fresh slot under (@p when, @p seq). */
+    EventId arm(Tick when, std::uint32_t seq, Callback fn);
+
     std::uint32_t acquireSlot();
     void retireSlot(std::uint32_t slot);
 
@@ -318,6 +390,10 @@ class EventQueue
 
     Tick curTick_ = 0;
     std::uint32_t nextSeq_ = 0;
+    /** See runningSeq(); starts just before the first seq. */
+    std::uint32_t runningSeq_ = noSeq;
+    /** Latest tick ever passed to reserveSeq(). */
+    Tick reservedMax_ = 0;
     std::uint64_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t retiredSlots_ = 0;

@@ -51,6 +51,24 @@ class Simulator
         return events_.schedule(now() + delay, std::move(fn));
     }
 
+    /** Reserve the next schedule seq for a possible event at
+     * @p when (see EventQueue::reserveSeq). */
+    std::uint32_t reserveSeq(Tick when) { return events_.reserveSeq(when); }
+
+    /** Schedule @p fn under a seq reserved for @p when. */
+    EventId
+    scheduleReserved(Tick when, std::uint32_t seq, EventQueue::Callback fn)
+    {
+        return events_.scheduleReserved(when, seq, std::move(fn));
+    }
+
+    /** Whether an event at (@p when, @p seq) would already have run. */
+    bool
+    reached(Tick when, std::uint32_t seq) const
+    {
+        return events_.reached(when, seq);
+    }
+
     /** Cancel a scheduled event; true if it had not fired. */
     bool cancel(EventId id) { return events_.cancel(id); }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 using namespace bluedbm;
@@ -498,4 +499,226 @@ TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
     }
     EXPECT_FALSE(q.step());
     EXPECT_TRUE(q.empty());
+}
+
+namespace {
+
+/**
+ * One run of the reserved-seq oracle. Every fired event logs its id
+ * and draws its follow-ups from a seeded Rng: plain events, and
+ * reservations. A reservation either stays unscheduled, or is paired
+ * with a realizer event, scheduled just before the reservation is
+ * taken, that schedules it later (at the current tick, or far enough
+ * ahead to land in the bottom, a rung or the top). The eager run
+ * schedules every reservation as a plain event at reservation time
+ * (an unscheduled one as a no-op) and each realizer as a no-op, so
+ * both runs consume the same seqs and must fire the same ids in the
+ * same order and end at the same clock.
+ */
+class ReserveRun
+{
+  public:
+    explicit ReserveRun(bool eager) : eager_(eager) {}
+
+    /** Seed the queue with a few roots. */
+    void
+    start()
+    {
+        for (int i = 0; i < 8; ++i)
+            plain(rng_.below(1000));
+    }
+
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+
+  private:
+    static constexpr std::uint64_t kIds = 40000;
+
+    struct Reservation
+    {
+        Tick when;
+        std::uint32_t seq;
+        std::uint64_t id;
+    };
+
+    /** A delay spanning same-tick, bottom, rung and top distances. */
+    Tick
+    delay()
+    {
+        switch (rng_.below(4)) {
+        case 0:
+            return 0;
+        case 1:
+            return rng_.range(1, 50);
+        case 2:
+            return rng_.range(1000, 100000);
+        default:
+            return rng_.range(10000000, 50000000);
+        }
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        log.push_back(id);
+        if (next_ >= kIds) {
+            // Winding down: leave unscheduled reservations past the
+            // last event, so the run ends on the clock rule.
+            if (rng_.chance(0.05))
+                unscheduled(q.now() + delay());
+            return;
+        }
+        for (std::uint64_t k = rng_.below(3); k > 0; --k)
+            plain(q.now() + delay());
+        if (rng_.chance(0.4))
+            reserve();
+    }
+
+    void
+    plain(Tick when)
+    {
+        std::uint64_t id = next_++;
+        q.schedule(when, [this, id] { fire(id); });
+    }
+
+    void
+    reserve()
+    {
+        Tick realize = q.now() + delay();
+        Tick when = realize + delay();
+        if (rng_.chance(0.25)) {
+            unscheduled(when);
+            return;
+        }
+        std::uint64_t id = next_++;
+        if (eager_) {
+            q.schedule(realize, [] {});
+            q.schedule(when, [this, id] { fire(id); });
+            return;
+        }
+        std::size_t slot = held_.size();
+        q.schedule(realize, [this, slot] {
+            const Reservation &r = held_[slot];
+            ASSERT_FALSE(q.reached(r.when, r.seq));
+            std::uint64_t rid = r.id;
+            q.scheduleReserved(r.when, r.seq, [this, rid] { fire(rid); });
+        });
+        held_.push_back(Reservation{when, q.reserveSeq(when), id});
+    }
+
+    /** A reservation never scheduled: only the clock rule stands
+     * for it. */
+    void
+    unscheduled(Tick when)
+    {
+        if (eager_)
+            q.schedule(when, [] {});
+        else
+            q.reserveSeq(when);
+    }
+
+    bool eager_;
+    sim::Rng rng_{16};
+    std::uint64_t next_ = 0;
+    std::vector<Reservation> held_;
+};
+
+} // namespace
+
+TEST(EventQueueReserve, MatchesEagerScheduleOrder)
+{
+    ReserveRun eager(true), reserved(false);
+    eager.start();
+    reserved.start();
+    eager.q.run();
+    reserved.q.run();
+    ASSERT_GT(eager.log.size(), 20000u);
+    EXPECT_EQ(reserved.log, eager.log);
+    // Unscheduled reservations end the run where their events would
+    // have fired.
+    EXPECT_EQ(reserved.q.now(), eager.q.now());
+    EXPECT_LT(reserved.q.executed(), eager.q.executed());
+}
+
+TEST(EventQueueReserve, SlicedRunsMatchEagerClockAtEveryLimit)
+{
+    // runUntil in slices narrower than the far delays: limits fall
+    // below, at and above pending reservations, and each slice must
+    // end at the eager run's clock.
+    ReserveRun eager(true), reserved(false);
+    eager.start();
+    reserved.start();
+    const Tick slice = 7000001;
+    std::vector<Tick> eagerNow, reservedNow;
+    for (Tick limit = slice; !eager.q.empty(); limit += slice) {
+        eagerNow.push_back(eager.q.runUntil(limit));
+        reservedNow.push_back(reserved.q.runUntil(limit));
+    }
+    reservedNow.push_back(reserved.q.run());
+    eagerNow.push_back(eager.q.run());
+    EXPECT_EQ(reserved.log, eager.log);
+    EXPECT_EQ(reservedNow, eagerNow);
+}
+
+TEST(EventQueueReserve, DrainMovesClockToLatestReservationCappedAtLimit)
+{
+    // One event at 100 and an unscheduled reservation at 300.
+    auto build = [](EventQueue &q) {
+        q.schedule(100, [] {});
+        return q.reserveSeq(300);
+    };
+    {
+        EventQueue q;
+        build(q);
+        EXPECT_EQ(q.run(), 300u);
+        EXPECT_EQ(q.executed(), 1u);
+    }
+    for (Tick limit : {Tick(200), Tick(300), Tick(1000)}) {
+        EventQueue q;
+        std::uint32_t seq = build(q);
+        EXPECT_EQ(q.runUntil(limit), std::min(limit, Tick(300)))
+            << "limit " << limit;
+        // Between runs the reservation counts as reached once the
+        // clock has got to it.
+        EXPECT_EQ(q.reached(300, seq), limit >= 300) << "limit " << limit;
+    }
+    {
+        // A reservation behind the clock does not move it.
+        EventQueue q;
+        q.reserveSeq(50);
+        q.schedule(100, [] {});
+        EXPECT_EQ(q.run(), 100u);
+    }
+}
+
+TEST(EventQueueReserve, SameTickReservationFiresBeforeYoungerSameTickEvents)
+{
+    // Reserved at tick 10 before the clock got there, scheduled at
+    // tick 10 after younger same-tick events were queued: it still
+    // fires first among them, in its reserved place.
+    EventQueue q;
+    std::vector<int> order;
+    std::uint32_t seq = 0;
+    q.schedule(10, [&] {
+        order.push_back(0);
+        q.schedule(10, [&] { order.push_back(3); });
+        q.schedule(10, [&] { order.push_back(4); });
+        q.scheduleReserved(10, seq, [&] {
+            EXPECT_EQ(q.runningSeq(), seq);
+            order.push_back(2);
+        });
+    });
+    seq = q.reserveSeq(10);
+    q.schedule(10, [&] { order.push_back(1); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3, 4}));
+}
+
+TEST(EventQueueReserveDeath, SchedulingAReachedReservationPanics)
+{
+    EventQueue q;
+    std::uint32_t seq = q.reserveSeq(5);
+    q.schedule(10, [] {});
+    q.run();
+    EXPECT_DEATH(q.scheduleReserved(5, seq, [] {}), "already passed");
 }
