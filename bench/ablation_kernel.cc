@@ -19,8 +19,13 @@
  *  - cluster: 4..100-node rings streaming antipodal traffic, the
  *    scale point the ladder queue and next-hop routing exist for.
  *
- * Emits BENCH_kernel.json so the perf trajectory is tracked from
- * this PR onward. The pooled queue must hold >= 3x legacy events/sec.
+ * Writes two files. BENCH_kernel.json, in the current directory, holds
+ * only simulated, deterministic fields (payload-pool slots, simulated
+ * event density, routing-table bytes), so it regenerates
+ * byte-identical and is tracked. BENCH_kernel_host.json, next to the
+ * binary (build/ when run as ./build/ablation_kernel), holds the
+ * host-time fields, which differ on every run. The pooled queue must
+ * hold >= 3x legacy events/sec.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -237,8 +243,8 @@ runThroughput()
  * beginTrace that early-outs on the disabled check plus
  * beginSpan/mark/endSpan on the untraced (0) handle it returned --
  * exactly the per-hop cost the kv/flash request paths now pay for
- * the unsampled majority of operations. ci.sh gates the slowdown
- * versus events_per_sec_pooled at < 2%.
+ * the unsampled majority of operations. The gate table holds the
+ * median traced-off/pooled ratio over alternating pairs to >= 0.90.
  */
 double
 runThroughputTracedOff()
@@ -355,8 +361,8 @@ struct BenchRequest
  * pool's slab high-water mark (slots only ever grow to the maximum
  * simultaneously-in-flight count).
  */
-double
-runMessages(bench::JsonCounters &out)
+void
+runMessages(bench::JsonCounters &host, bench::JsonCounters &sim_out)
 {
     constexpr std::uint64_t kMessages = 300000;
     sim::Simulator sim;
@@ -389,9 +395,9 @@ runMessages(bench::JsonCounters &out)
     if (net.payloadPool().slotCount() == 0)
         sim::panic("payload pool never engaged: the bench payload "
                    "must exceed the inline buffer");
-    out.emplace_back("message_payload_pool_slots",
-                     double(net.payloadPool().slotCount()));
-    return double(kMessages) / sec;
+    host.emplace_back("messages_per_sec", double(kMessages) / sec);
+    sim_out.emplace_back("message_payload_pool_slots",
+                         double(net.payloadPool().slotCount()));
 }
 
 /**
@@ -406,7 +412,7 @@ runMessages(bench::JsonCounters &out)
  * routing footprint compressed.
  */
 void
-runClusterSweep(bench::JsonCounters &out)
+runClusterSweep(bench::JsonCounters &host, bench::JsonCounters &sim_out)
 {
     constexpr std::uint64_t kPerNode = 1000;
     for (unsigned nodes : {4u, 8u, 20u, 100u}) {
@@ -452,74 +458,89 @@ runClusterSweep(bench::JsonCounters &out)
         char name[64];
         std::snprintf(name, sizeof(name), "cluster_n%u_events_per_sec",
                       nodes);
-        out.emplace_back(name,
-                         double(sim.eventsExecuted()) / wall);
+        host.emplace_back(name,
+                          double(sim.eventsExecuted()) / wall);
         std::snprintf(name, sizeof(name),
                       "cluster_n%u_sim_events_per_sec", nodes);
-        out.emplace_back(name,
-                         double(sim.eventsExecuted()) / sim_sec);
+        sim_out.emplace_back(name,
+                             double(sim.eventsExecuted()) / sim_sec);
         std::snprintf(name, sizeof(name), "routing_table_bytes_n%u",
                       nodes);
-        out.emplace_back(name, double(net.routingTableBytes()));
+        sim_out.emplace_back(name, double(net.routingTableBytes()));
     }
 }
 
-bench::JsonCounters gCounters;
+/** Host-time fields (BENCH_kernel_host.json) and simulated ones
+ * (the tracked BENCH_kernel.json). */
+bench::JsonCounters gHost, gSim;
+
+/** Alternating pooled/traced-off pairs behind tracing_off_ratio. */
+constexpr int kTracingPairs = 9;
 
 void
 runAll()
 {
-    gCounters.clear();
+    gHost.clear();
+    gSim.clear();
 
-    // Best-of-3, interleaved: the tracing-overhead ratio gates at
-    // 2%, far below run-to-run interference on a shared machine.
-    // Interference only ever slows a run down, so the max over
-    // interleaved repetitions compares the variants' clean speeds.
+    // Interference only ever slows a run down, so the best of the
+    // repetitions compares the queues' clean speeds.
     double legacy_tp = 0.0, pooled_tp = 0.0, traced_off_tp = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-        if (rep < 3)
-            legacy_tp = std::max(legacy_tp,
-                                 runThroughput<LegacyEventQueue>());
-        pooled_tp =
-            std::max(pooled_tp, runThroughput<sim::EventQueue>());
-        traced_off_tp =
-            std::max(traced_off_tp, runThroughputTracedOff());
+    for (int rep = 0; rep < 3; ++rep)
+        legacy_tp =
+            std::max(legacy_tp, runThroughput<LegacyEventQueue>());
+    // The tracing ratio gates a 10% overhead, within the drift of a
+    // shared host's core speed: take the median over pairs of
+    // back-to-back runs, flipping which goes first in every pair.
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kTracingPairs; ++pair) {
+        double pooled = 0.0, traced = 0.0;
+        if (pair % 2 == 0) {
+            pooled = runThroughput<sim::EventQueue>();
+            traced = runThroughputTracedOff();
+        } else {
+            traced = runThroughputTracedOff();
+            pooled = runThroughput<sim::EventQueue>();
+        }
+        pooled_tp = std::max(pooled_tp, pooled);
+        traced_off_tp = std::max(traced_off_tp, traced);
+        ratios.push_back(pooled > 0 ? traced / pooled : 0.0);
     }
+    std::sort(ratios.begin(), ratios.end());
     double legacy_cc = runCancelChurn<LegacyEventQueue>();
     double pooled_cc = runCancelChurn<sim::EventQueue>();
 
-    gCounters.emplace_back("events_per_sec_legacy", legacy_tp);
-    gCounters.emplace_back("events_per_sec_pooled", pooled_tp);
-    gCounters.emplace_back("events_speedup", pooled_tp / legacy_tp);
-    gCounters.emplace_back("events_per_sec_traced_off",
-                           traced_off_tp);
-    gCounters.emplace_back("tracing_off_ratio",
-                           pooled_tp > 0 ? traced_off_tp / pooled_tp
-                                         : 0.0);
-    gCounters.emplace_back("cancel_events_per_sec_legacy", legacy_cc);
-    gCounters.emplace_back("cancel_events_per_sec_pooled", pooled_cc);
-    gCounters.emplace_back("cancel_speedup", legacy_cc > 0
-                               ? pooled_cc / legacy_cc
-                               : 0.0);
+    gHost.emplace_back("events_per_sec_legacy", legacy_tp);
+    gHost.emplace_back("events_per_sec_pooled", pooled_tp);
+    gHost.emplace_back("events_speedup", pooled_tp / legacy_tp);
+    gHost.emplace_back("events_per_sec_traced_off", traced_off_tp);
+    gHost.emplace_back("tracing_off_ratio", ratios[ratios.size() / 2]);
+    gHost.emplace_back("tracing_off_ratio_min", ratios.front());
+    gHost.emplace_back("tracing_off_ratio_max", ratios.back());
+    gHost.emplace_back("tracing_off_pairs", double(ratios.size()));
+    gHost.emplace_back("cancel_events_per_sec_legacy", legacy_cc);
+    gHost.emplace_back("cancel_events_per_sec_pooled", pooled_cc);
+    gHost.emplace_back("cancel_speedup",
+                       legacy_cc > 0 ? pooled_cc / legacy_cc : 0.0);
 
-    double msgs = runMessages(gCounters);
-    gCounters.emplace_back("messages_per_sec", msgs);
-
-    runClusterSweep(gCounters);
+    runMessages(gHost, gSim);
+    runClusterSweep(gHost, gSim);
 }
 
 void
-printTable()
+printTable(const std::string &host_path)
 {
     bench::banner("Kernel ablation: pooled event queue vs legacy "
                   "std::function queue");
     std::printf("%-32s %14s\n", "Counter", "Value");
-    for (const auto &[name, value] : gCounters)
-        std::printf("%-32s %14.3g\n", name.c_str(), value);
+    for (const bench::JsonCounters *set : {&gHost, &gSim})
+        for (const auto &[name, value] : *set)
+            std::printf("%-32s %14.3g\n", name.c_str(), value);
     std::printf("\nTarget: events_speedup >= 3.0 (zero allocations "
                 "per event in steady\nstate; see "
                 "src/sim/event_queue.hh for the design).\n");
-    bench::writeJson("BENCH_kernel.json", gCounters);
+    bench::writeJson("BENCH_kernel.json", gSim);
+    bench::writeJson(host_path, gHost);
 }
 
 void
@@ -527,8 +548,9 @@ BM_KernelAblation(benchmark::State &state)
 {
     for (auto _ : state)
         runAll();
-    for (const auto &[name, value] : gCounters)
-        state.counters[name] = value;
+    for (const bench::JsonCounters *set : {&gHost, &gSim})
+        for (const auto &[name, value] : *set)
+            state.counters[name] = value;
 }
 
 BENCHMARK(BM_KernelAblation)->Iterations(1)
@@ -539,10 +561,17 @@ BENCHMARK(BM_KernelAblation)->Iterations(1)
 int
 main(int argc, char **argv)
 {
+    // Host-time fields go next to the binary, out of the source tree.
+    std::string host_path = argv[0];
+    std::size_t slash = host_path.rfind('/');
+    host_path = (slash == std::string::npos
+                     ? std::string()
+                     : host_path.substr(0, slash + 1)) +
+        "BENCH_kernel_host.json";
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    if (gCounters.empty())
+    if (gSim.empty())
         runAll();
-    printTable();
+    printTable(host_path);
     return 0;
 }

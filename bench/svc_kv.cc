@@ -789,7 +789,7 @@ struct AgeResult
 };
 
 /**
- * Serve a skewed 50/50 mix at 80-90% occupied capacity, then age
+ * Serve a skewed 50/50 mix at 88-92% occupied capacity, then age
  * the array in place (wear curve on, blocks pre-aged near the
  * endurance limit) and serve the same load again. The aged phase
  * must keep its tail within 3x of fresh while the full ladder runs
@@ -837,9 +837,10 @@ runAging(unsigned nodes, std::uint64_t phase_ops)
     // log page holds ~4 records from adjacent keys and stays live
     // until every one of them is overwritten (dead-byte trim), so
     // the page-granular cleaner cannot compact sub-page garbage
-    // and the fragmented footprint settles in the 80-90% band the
-    // scenario targets. (Measured occupancy is reported, and
-    // gated, as the run's utilization.)
+    // and the fragmented footprint settles in the 88-92% band the
+    // scenario targets (0.9101 in the full run, 0.8975 in the
+    // smoke). Measured occupancy is reported, and gated, as the
+    // run's utilization.
     const double liveFrac = 0.62;
     const std::uint64_t keys =
         std::uint64_t(double(nodes) * double(cap) * liveFrac) /
@@ -1097,7 +1098,7 @@ runAll()
     killRun = runKillRebuild(20, 30000, false);
     expandRun = runExpand(20, 30000, false);
 
-    // Aged flash under live load: 4 nodes at 80-90% occupancy, the
+    // Aged flash under live load: 4 nodes at 88-92% occupancy, the
     // wear model switched on mid-run. Small on purpose -- aging is
     // a per-card phenomenon, not a scale-out one.
     ageRun = runAging(4, 8000);
@@ -1219,7 +1220,7 @@ printTable()
                 (unsigned long long)expandRun.ringEpoch,
                 (unsigned long long)expandRun.divergentFinal);
 
-    bench::banner("Aged flash under live load (4 nodes, 80-90% "
+    bench::banner("Aged flash under live load (4 nodes, 88-92% "
                   "occupied, 50/50 mix)");
     std::printf("%22s %12s %9s %9s %10s\n", "phase", "ops/s",
                 "p50(us)", "p99(us)", "rejected");

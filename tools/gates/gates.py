@@ -6,7 +6,11 @@ Every numeric bound that CI holds the benches to is one row of GATES:
 reason).  Paths are relative to the repository root:
 
   * BENCH_kernel.json and BENCH_kv.json are the tracked bench JSONs
-    that scripts/ci.sh regenerates (ablation_kernel, svc_kv);
+    that scripts/ci.sh regenerates (ablation_kernel, svc_kv); both
+    hold simulated fields only and must regenerate byte-identical;
+  * build/BENCH_kernel_host.json holds ablation_kernel's host-time
+    fields, written next to the binary so no host-time number is
+    tracked;
   * build-sanitize/SMOKE_*.json are written by the svc_kv smoke modes
     (--smoke, --smoke-quorum, --kill-node, --expand, --age,
     --smoke-100), which ci.sh runs inside build-sanitize/ under
@@ -35,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 KERNEL = "BENCH_kernel.json"
+KERNEL_HOST = "build/BENCH_kernel_host.json"
 KV = "BENCH_kv.json"
 SMOKE = "build-sanitize/SMOKE_kv.json"
 SMOKE_TRACED = "build-sanitize/SMOKE_kv_traced.json"
@@ -47,11 +52,11 @@ SMOKE_N100 = "build-sanitize/SMOKE_n100.json"
 GATES = [
     # Event kernel and network (ablation_kernel).  Host-time fields
     # are gated only as ratios taken within one run.
-    (KERNEL, "tracing_off_ratio >= 0.90",
+    (KERNEL_HOST, "tracing_off_ratio >= 0.90",
      "disabled tracing may cost at most 10% of pooled event "
-     "throughput (measured 0.92-1.00; noise, not regressions, "
-     "would flake a tighter floor)"),
-    (KERNEL, "events_speedup >= 3.0",
+     "throughput (the median of 9 alternating pooled/traced-off "
+     "pairs; single samples ranged 0.85-1.06)"),
+    (KERNEL_HOST, "events_speedup >= 3.0",
      "the pooled event queue must stay >= 3x the legacy heap"),
     (KERNEL, "cluster_n4_sim_events_per_sec < "
      "cluster_n8_sim_events_per_sec < cluster_n20_sim_events_per_sec "
@@ -157,7 +162,7 @@ GATES = [
      "member_expand_ring_epoch == 1",
      "the join must move keys in exactly one ring flip"),
 
-    # Aged flash at 80-90% occupancy (docs/aging.md).
+    # Aged flash at 88-92% occupancy (docs/aging.md).
     (KV, "age_aged_p99_us <= 3 * age_fresh_p99_us",
      "the aged tail stays within 3x of fresh"),
     (SMOKE_AGE, "age_aged_p99_us <= 3 * age_fresh_p99_us",
@@ -182,10 +187,10 @@ GATES = [
      "write amplification is reported sane"),
     (SMOKE_AGE, "age_write_amp >= 1",
      "write amplification is reported sane"),
-    (KV, "0.78 <= age_utilization <= 0.93",
-     "occupancy stays inside the 80-90% aged-flash band"),
-    (SMOKE_AGE, "0.78 <= age_utilization <= 0.93",
-     "occupancy stays inside the 80-90% aged-flash band"),
+    (KV, "0.88 <= age_utilization <= 0.92",
+     "occupancy stays inside the 88-92% aged-flash band"),
+    (SMOKE_AGE, "0.88 <= age_utilization <= 0.92",
+     "occupancy stays inside the 88-92% aged-flash band"),
 ]
 
 _ALLOWED = (ast.Expression, ast.Compare, ast.BoolOp, ast.BinOp,
