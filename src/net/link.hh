@@ -20,10 +20,10 @@
  * lane's ledger, a recycled ring. Before the lane reads its credits
  * (every send() and pump()), it applies each ledger entry that
  * orders at or before the running event, so it sees exactly the
- * credits the eager events would have delivered by then. Most
- * returns land while the lane's queue is empty, where the event
- * would only have added to the count. Only while a message waits
- * for credits does the lane hold one wake event, scheduled under the
+ * credits the eager events would have delivered by then. A return
+ * that lands while no message waits would only have added to the
+ * count, so it needs no event. Only while a message waits for
+ * credits does the lane hold one wake event, scheduled under the
  * oldest entry's reserved (tick, seq): it fires exactly where that
  * entry's credit-return event would have fired, so every delivery
  * tick and the order of every other event are unchanged.

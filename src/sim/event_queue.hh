@@ -218,7 +218,8 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return curTick_; }
 
-    /** Whether any live (non-cancelled) events remain. */
+    /** Whether any live (non-cancelled) events remain. Unscheduled
+     * reservations are not events. */
     bool empty() const { return liveEvents_ == 0; }
 
     /** Number of live events pending. */
